@@ -30,6 +30,9 @@ class PersistentPath {
   /// Back-end request forwarding: `owner` supplies the content over the
   /// VIA; the connection stays put and its node replies to the client.
   void remote_fetch(const ConnPtr& conn, int owner);
+  /// The owner's half of a remote fetch once the content is in its cache:
+  /// copy it to the NIC, ship it to `current`, which replies to the client.
+  void send_back(const ConnPtr& conn, int current, int owner, std::uint32_t att);
 
   EngineContext& ctx_;
 };

@@ -4,10 +4,13 @@
 // inline buffer sized for the capture sets the simulator actually creates
 // (`[this, conn]`, `[this, conn, bytes]`, ... — a pointer, a shared_ptr and
 // a few scalars). Callables that fit are stored in place: scheduling an
-// event performs zero heap allocations. Oversized captures (mostly nested
-// continuations that capture another InlineEvent) spill into EventArena, a
-// thread-local size-classed free list, so even the spill path stops
-// allocating once the simulation reaches steady state.
+// event performs zero heap allocations. Oversized captures spill into
+// EventArena, a thread-local size-classed free list, so even the spill
+// path stops allocating once the simulation reaches steady state. The
+// simulator's own hot path never spills: a continuation waiting on a
+// resource or a network hop is held by that resource or by the VIA message
+// record, and the events capture `this` plus scalars, never another
+// InlineEvent (tests/test_spill_free.cpp checks this).
 //
 // Contrast with std::function: libstdc++'s inline buffer is 16 bytes, so
 // nearly every event the simulator schedules used to heap-allocate, and the

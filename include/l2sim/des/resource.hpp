@@ -1,6 +1,11 @@
 // Single-server FIFO resource: the building block for CPUs, disks, NICs
 // and the router. Jobs queue in arrival order; the resource tracks busy
 // time (for utilization/idle-time reports) and queue statistics.
+//
+// The resource owns the continuation of the job in service: its `done`
+// and service time sit in member slots and the completion event captures
+// only `this`, so the event fits InlineEvent's buffer whatever the
+// caller's continuation captured.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@ class Resource {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool busy() const { return busy_; }
+  /// Jobs waiting behind the one in service.
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_; }
   [[nodiscard]] SimTime busy_time() const { return busy_time_; }
@@ -41,10 +47,13 @@ class Resource {
   };
 
   void start_next();
+  void complete();
 
   Scheduler& sched_;
   std::string name_;
   std::deque<Job> queue_;
+  EventFn in_service_done_;     ///< continuation of the job in service
+  SimTime in_service_time_ = 0; ///< its service time
   bool busy_ = false;
   SimTime busy_time_ = 0;
   std::uint64_t jobs_ = 0;

@@ -31,6 +31,7 @@
 //     per-link utilization telemetry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -131,10 +132,32 @@ class Topology {
                                                       int nodes);
 
  protected:
+  /// A path across capacitated links: a switch hop of latency `head`,
+  /// then `links[0..hops)` with a switch hop of `gaps[i]` between links i
+  /// and i+1, then a final switch hop of `tail`.
+  struct Route {
+    std::array<Link*, 4> links{};
+    std::array<SimTime, 3> gaps{};
+    int hops = 0;
+    SimTime head = 0;
+    SimTime tail = 0;
+  };
+
+  /// Message-mode delivery over `route`: after the head hop, each
+  /// store-and-forward segment (segment_bytes) crosses the links
+  /// independently (FIFO links keep them in order); the tail hop is
+  /// charged once, after the last segment clears the final link.
+  void traverse_route(const Route& route, Bytes bytes, Bytes segment,
+                      des::EventFn deliver);
+
   des::Scheduler& sched_;
   const NetParams& params_;  // NOLINT(*-avoid-const-or-ref-data-members)
   std::vector<std::unique_ptr<Link>> links_;
   std::uint64_t traversals_ = 0;
+
+ private:
+  struct Transfer;
+  void forward_segment(std::shared_ptr<Transfer> t, int hop, Bytes seg);
 };
 
 /// The paper's fabric: a pure latency element shared by every node pair,

@@ -9,10 +9,16 @@
 // point-to-point messages, exactly as the paper's simulator does — each
 // one charged along its own topology path, so a cross-rack destination
 // pays its real hop count.
+//
+// Every in-flight message lives in a record of the network's message pool
+// (continuation, endpoints, size, NIC time, fault decisions), and each hop
+// schedules only `[this, id]`. The pool grows in fixed-size chunks threaded
+// on a free list, so a record never moves while its message is in flight.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "l2sim/des/resource.hpp"
@@ -69,8 +75,10 @@ class ViaNetwork {
   /// Full VIA send including both CPU overheads.
   void send(int src, int dst, Bytes bytes, des::EventFn on_delivered);
 
-  /// N-1 point-to-point sends; `on_delivered(dst)` fires per destination.
-  void broadcast(int src, Bytes bytes, const std::function<void(int dst)>& on_delivered);
+  /// N-1 point-to-point sends; `on_delivered(dst)` fires per delivered
+  /// destination. The messages share one copy of `on_delivered`, released
+  /// once the last of them is delivered or dropped.
+  void broadcast(int src, Bytes bytes, std::function<void(int dst)> on_delivered);
 
   /// Install (or clear, with nullptr) the per-message fault oracle. The
   /// model must outlive the network or be cleared before it dies.
@@ -95,6 +103,11 @@ class ViaNetwork {
     return settled >= messages_ ? 0 : messages_ - settled;
   }
   [[nodiscard]] int endpoints() const { return static_cast<int>(endpoints_.size()); }
+  /// Message records the pool holds, free or in flight: a multiple of the
+  /// chunk size, never shrinking.
+  [[nodiscard]] std::size_t message_pool_capacity() const {
+    return chunks_.size() * kChunkSize;
+  }
 
   /// Zero every counter, including the fault-layer ones. (This used to
   /// clear only messages_, which made warm-up drops bleed into measured
@@ -108,10 +121,48 @@ class ViaNetwork {
   }
 
  private:
+  /// Which legs a message pays: send() adds both CPU legs to the wire
+  /// path; flow-mode bulk() replaces the NIC and topology legs with the
+  /// flow network.
+  enum class Kind : std::uint8_t { kWire, kSend, kFlow };
+
+  /// One in-flight message: everything its remaining hops need.
+  struct Message {
+    des::EventFn done;
+    SimTime xfer = 0;         ///< NIC service time, paid at both ends
+    SimTime extra_delay = 0;  ///< fault-injected delay before the rx NIC
+    Bytes bytes = 0;
+    int src = 0;
+    int dst = 0;
+    std::uint32_t next_free = 0;  ///< free-list link while unused
+    Kind kind = Kind::kWire;
+    bool duplicate = false;   ///< fault-injected copy burns rx NIC time
+  };
+  static constexpr std::uint32_t kChunkBits = 10;
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+  static constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
+
+  void check_pair(int src, int dst) const;
+  [[nodiscard]] std::uint32_t acquire(int src, int dst, Bytes bytes, Kind kind,
+                                      des::EventFn done);
+  void release(std::uint32_t id);
+  [[nodiscard]] Message& message(std::uint32_t id) {
+    return chunks_[id >> kChunkBits][id & (kChunkSize - 1)];
+  }
+
+  // The hops of one message, in order.
+  void launch(std::uint32_t id);     ///< fault oracle, then tx NIC or flow
+  void traverse(std::uint32_t id);   ///< topology path after the tx NIC
+  void traversed(std::uint32_t id);  ///< fault-injected extra delay
+  void arrive(std::uint32_t id);     ///< rx NIC (plus a duplicate copy)
+  void received(std::uint32_t id);   ///< receiver CPU or `done` directly
+
   des::Scheduler& sched_;
   Topology& topo_;
   const NetParams& params_;
   std::vector<Endpoint> endpoints_;
+  std::vector<std::unique_ptr<Message[]>> chunks_;
+  std::uint32_t free_head_ = kNoFree;
   LinkFaultModel* fault_model_ = nullptr;
   FlowNetwork* flow_ = nullptr;
   std::uint64_t messages_ = 0;

@@ -112,37 +112,37 @@ void PersistentPath::remote_fetch(const ConnPtr& conn, int owner) {
           return;
         }
         cluster::Node& o = ctx_.node(owner);
-        const Bytes file_bytes = ctx_.trace->files().size_of(conn->request.file);
-        auto send_back = [this, conn, current, owner, att]() {
-          cluster::Node& src = ctx_.node(owner);
-          // Memory-to-NIC copy at the owner, bulk transfer, then the
-          // normal reply path at the connection's node.
-          src.cpu().submit(src.reply_time(conn->request.bytes), [this, conn, current,
-                                                                owner, att]() {
-            if (attempt_stale(conn, att)) return;
-            // bulk(): the payload-bearing leg — rides the flow-level
-            // network when topology.flow_level is on (identical to
-            // transmit() otherwise).
-            ctx_.via->bulk(owner, current, conn->request.bytes, [this, conn, current,
-                                                                 att]() {
-              if (attempt_stale(conn, att)) return;
-              cluster::Node& c = ctx_.node(current);
-              c.cpu().submit(ctx_.cfg().net.cpu_msg_time(), [this, conn, att]() {
-                if (attempt_stale(conn, att)) return;
-                ctx_.service->reply_path(conn);
-              });
-            });
-          });
-        };
         if (o.file_cache().lookup(conn->request.file)) {
-          send_back();
-        } else {
-          o.disk().read(file_bytes, [this, owner, conn, file_bytes, send_back, att]() {
-            if (attempt_stale(conn, att)) return;
-            ctx_.node(owner).file_cache().insert(conn->request.file, file_bytes);
-            send_back();
-          });
+          send_back(conn, current, owner, att);
+          return;
         }
+        const Bytes file_bytes = ctx_.trace->files().size_of(conn->request.file);
+        o.disk().read(file_bytes, [this, conn, file_bytes, current, owner, att]() {
+          if (attempt_stale(conn, att)) return;
+          ctx_.node(owner).file_cache().insert(conn->request.file, file_bytes);
+          send_back(conn, current, owner, att);
+        });
+      });
+    });
+  });
+}
+
+void PersistentPath::send_back(const ConnPtr& conn, int current, int owner,
+                               std::uint32_t att) {
+  cluster::Node& src = ctx_.node(owner);
+  // Memory-to-NIC copy at the owner, bulk transfer, then the normal reply
+  // path at the connection's node.
+  src.cpu().submit(src.reply_time(conn->request.bytes), [this, conn, current, owner,
+                                                         att]() {
+    if (attempt_stale(conn, att)) return;
+    // bulk(): the payload-bearing leg — rides the flow-level network when
+    // topology.flow_level is on (identical to transmit() otherwise).
+    ctx_.via->bulk(owner, current, conn->request.bytes, [this, conn, current, att]() {
+      if (attempt_stale(conn, att)) return;
+      cluster::Node& c = ctx_.node(current);
+      c.cpu().submit(ctx_.cfg().net.cpu_msg_time(), [this, conn, att]() {
+        if (attempt_stale(conn, att)) return;
+        ctx_.service->reply_path(conn);
       });
     });
   });

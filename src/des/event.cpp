@@ -6,11 +6,12 @@
 namespace l2s::des {
 namespace {
 
-// Size classes for spilled captures. Nested continuations — a lambda that
-// captures another InlineEvent (64 bytes) plus a pointer or two — land in
-// the 128-byte class; 256/512 cover the deepest chains the simulator
-// builds (remote fetch with a send-back continuation). Anything larger is
-// rare enough to go straight to the global allocator.
+// Size classes for spilled captures. A lambda that captures another
+// InlineEvent (64 bytes) plus a pointer or two lands in the 128-byte
+// class; 256/512 cover deeper nesting. The simulator's message path no
+// longer builds such closures, so spills come from callers' own oversized
+// callables; anything above 512 bytes goes straight to the global
+// allocator.
 constexpr std::array<std::size_t, 4> kClassSizes = {64, 128, 256, 512};
 
 struct FreeBlock {

@@ -16,16 +16,22 @@ void Resource::submit(SimTime service, EventFn done) {
 void Resource::start_next() {
   L2S_REQUIRE(!busy_ && !queue_.empty());
   busy_ = true;
-  Job job = std::move(queue_.front());
+  Job& job = queue_.front();
+  in_service_time_ = job.service;
+  in_service_done_ = std::move(job.done);
   queue_.pop_front();
-  const SimTime service = job.service;
-  sched_.after(service, [this, service, done = std::move(job.done)]() mutable {
-    busy_time_ += service;
-    ++jobs_;
-    busy_ = false;
-    if (!queue_.empty()) start_next();
-    done();
-  });
+  sched_.after(in_service_time_, [this]() { complete(); });
+}
+
+void Resource::complete() {
+  busy_time_ += in_service_time_;
+  ++jobs_;
+  busy_ = false;
+  // The next job's completion is scheduled before this job's continuation
+  // runs, so take the continuation out of the slot start_next refills.
+  EventFn done = std::move(in_service_done_);
+  if (!queue_.empty()) start_next();
+  done();
 }
 
 double Resource::utilization(SimTime elapsed) const {

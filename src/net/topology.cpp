@@ -11,14 +11,6 @@ namespace l2s::net {
 
 namespace {
 
-/// Shared completion state of one segmented multi-hop transfer: the
-/// delivery callback fires once, after the last segment clears the final
-/// capacitated hop.
-struct Pending {
-  std::uint64_t remaining = 0;
-  des::EventFn deliver;
-};
-
 std::uint64_t segment_count(Bytes bytes, Bytes segment) {
   if (bytes == 0) return 1;
   return (bytes + segment - 1) / segment;
@@ -114,6 +106,41 @@ std::unique_ptr<Topology> Topology::make(const TopologyConfig& config,
   throw_error("topology: unknown kind");
 }
 
+/// Shared state of one segmented transfer: its route, and the delivery
+/// callback that fires once the last segment clears the final link.
+struct Topology::Transfer {
+  Route route;
+  std::uint64_t remaining = 0;  ///< segments yet to clear the final link
+  des::EventFn deliver;
+};
+
+void Topology::traverse_route(const Route& route, Bytes bytes, Bytes segment,
+                              des::EventFn deliver) {
+  auto t = std::make_shared<Transfer>();
+  t->route = route;
+  t->remaining = segment_count(bytes, segment);
+  t->deliver = std::move(deliver);
+  sched_.after(route.head, [this, t, bytes, segment]() {
+    const std::uint64_t segs = segment_count(bytes, segment);
+    for (std::uint64_t i = 0; i < segs; ++i)
+      forward_segment(t, 0, segment_size(bytes, segment, i, segs));
+  });
+}
+
+void Topology::forward_segment(std::shared_ptr<Transfer> t, int hop, Bytes seg) {
+  Link& next = *t->route.links[static_cast<std::size_t>(hop)];
+  next.transfer(seg, [this, t = std::move(t), hop, seg]() mutable {
+    if (hop + 1 == t->route.hops) {
+      if (--t->remaining == 0) sched_.after(t->route.tail, std::move(t->deliver));
+      return;
+    }
+    const SimTime gap = t->route.gaps[static_cast<std::size_t>(hop)];
+    sched_.after(gap, [this, t = std::move(t), hop, seg]() mutable {
+      forward_segment(std::move(t), hop + 1, seg);
+    });
+  });
+}
+
 // --- SingleSwitch -----------------------------------------------------------
 
 SingleSwitch::SingleSwitch(des::Scheduler& sched, const NetParams& params,
@@ -164,28 +191,14 @@ void RackAware::traverse(int src, int dst, Bytes bytes, des::EventFn deliver) {
     sched_.after(tor_latency_, std::move(deliver));
     return;
   }
-  Link& up = uplink(sr);
-  Link& down = downlink(dr);
-  const std::uint64_t segs = segment_count(bytes, segment_);
-  auto pending = std::make_shared<Pending>();
-  pending->remaining = segs;
-  pending->deliver = std::move(deliver);
-  // src ToR hop, then each segment store-and-forwards uplink -> core ->
-  // downlink independently (FIFO links preserve order); the dst ToR hop is
-  // charged once, after the last segment lands.
-  sched_.after(tor_latency_, [this, &up, &down, bytes, segs, pending]() {
-    for (std::uint64_t i = 0; i < segs; ++i) {
-      const Bytes seg = segment_size(bytes, segment_, i, segs);
-      up.transfer(seg, [this, &down, seg, pending]() {
-        sched_.after(core_latency_, [this, &down, seg, pending]() {
-          down.transfer(seg, [this, pending]() {
-            if (--pending->remaining == 0)
-              sched_.after(tor_latency_, std::move(pending->deliver));
-          });
-        });
-      });
-    }
-  });
+  // src ToR -> uplink -> core -> downlink -> dst ToR.
+  Route route;
+  route.links = {&uplink(sr), &downlink(dr)};
+  route.gaps = {core_latency_};
+  route.hops = 2;
+  route.head = tor_latency_;
+  route.tail = tor_latency_;
+  traverse_route(route, bytes, segment_, std::move(deliver));
 }
 
 void RackAware::path_links(int src, int dst,
@@ -314,58 +327,25 @@ void FatTree::traverse(int src, int dst, Bytes bytes, des::EventFn deliver) {
   }
   const std::uint32_t h = route_hash(src, dst);
   const int agg = static_cast<int>(h % static_cast<std::uint32_t>(half_k_));
-  const std::uint64_t segs = segment_count(bytes, segment_);
-  auto pending = std::make_shared<Pending>();
-  pending->remaining = segs;
-  pending->deliver = std::move(deliver);
-  auto finish = [this, pending]() {
-    if (--pending->remaining == 0)
-      sched_.after(switch_latency_, std::move(pending->deliver));
-  };
+  Route route;
+  route.head = switch_latency_;
+  route.tail = switch_latency_;
   if (pod_of(src) == pod_of(dst)) {
     // edge -> agg -> edge: two capacitated hops around the pod's chosen
     // aggregation switch.
-    Link& up = link(edge_up(se, agg));
-    Link& down = link(edge_down(de, agg));
-    sched_.after(switch_latency_, [this, &up, &down, bytes, segs, finish]() {
-      for (std::uint64_t i = 0; i < segs; ++i) {
-        const Bytes seg = segment_size(bytes, segment_, i, segs);
-        up.transfer(seg, [this, &down, seg, finish]() {
-          sched_.after(switch_latency_, [&down, seg, finish]() {
-            down.transfer(seg, finish);
-          });
-        });
-      }
-    });
-    return;
+    route.links = {&link(edge_up(se, agg)), &link(edge_down(de, agg))};
+    route.gaps = {switch_latency_};
+    route.hops = 2;
+  } else {
+    // Cross-pod: edge -> agg -> core -> agg -> edge.
+    const int row = static_cast<int>((h / static_cast<std::uint32_t>(half_k_)) %
+                                     static_cast<std::uint32_t>(half_k_));
+    route.links = {&link(edge_up(se, agg)), &link(agg_up(pod_of(src), agg, row)),
+                   &link(agg_down(pod_of(dst), agg, row)), &link(edge_down(de, agg))};
+    route.gaps = {switch_latency_, core_latency_, switch_latency_};
+    route.hops = 4;
   }
-  // Cross-pod: edge -> agg -> core -> agg -> edge.
-  const int row = static_cast<int>((h / static_cast<std::uint32_t>(half_k_)) %
-                                   static_cast<std::uint32_t>(half_k_));
-  Link& up1 = link(edge_up(se, agg));
-  Link& up2 = link(agg_up(pod_of(src), agg, row));
-  Link& down2 = link(agg_down(pod_of(dst), agg, row));
-  Link& down1 = link(edge_down(de, agg));
-  sched_.after(switch_latency_, [this, &up1, &up2, &down2, &down1, bytes, segs,
-                                 finish]() {
-    for (std::uint64_t i = 0; i < segs; ++i) {
-      const Bytes seg = segment_size(bytes, segment_, i, segs);
-      up1.transfer(seg, [this, &up2, &down2, &down1, seg, finish]() {
-        sched_.after(switch_latency_, [this, &up2, &down2, &down1, seg,
-                                       finish]() {
-          up2.transfer(seg, [this, &down2, &down1, seg, finish]() {
-            sched_.after(core_latency_, [this, &down2, &down1, seg, finish]() {
-              down2.transfer(seg, [this, &down1, seg, finish]() {
-                sched_.after(switch_latency_, [&down1, seg, finish]() {
-                  down1.transfer(seg, finish);
-                });
-              });
-            });
-          });
-        });
-      });
-    }
-  });
+  traverse_route(route, bytes, segment_, std::move(deliver));
 }
 
 void FatTree::path_links(int src, int dst,

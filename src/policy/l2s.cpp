@@ -213,10 +213,11 @@ void L2sPolicy::maybe_broadcast_load(int node) {
 
 void L2sPolicy::broadcast_set_change(int origin, storage::FileId file) {
   counters_.add("locality_broadcasts");
-  // Ship the new membership by value: receivers adopt it on delivery.
+  // Ship the new membership by value: one copy travels with the
+  // broadcast, and each receiver adopts its own copy on delivery.
   std::vector<int> members = state(origin).sets.members(file);
   ctx_.via->broadcast(origin, ctx_.control_msg_bytes,
-                      [this, file, members](int dst) {
+                      [this, file, members = std::move(members)](int dst) {
                         state(dst).sets.replace(file, members, ctx_.sched->now());
                       });
 }

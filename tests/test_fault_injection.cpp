@@ -3,13 +3,17 @@
 // message loss, fail-slow degradation, and the VIA fault-layer accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "l2sim/core/simulation.hpp"
 #include "l2sim/fault/detector.hpp"
 #include "l2sim/fault/plan.hpp"
+#include "l2sim/net/topology.hpp"
 #include "l2sim/net/via.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/policy/lard.hpp"
@@ -154,6 +158,83 @@ TEST(FaultInjection, ResetStatsClearsTheFaultCountersToo) {
   EXPECT_EQ(f.via.messages_dropped(), 0u);
   EXPECT_EQ(f.via.messages_duplicated(), 0u);
   EXPECT_EQ(f.via.messages_delayed(), 0u);
+}
+
+// A broadcast's N-1 messages share one copy of its callable. The probe
+// counts live copies of the callable: one while any message is in flight,
+// none once the last one is delivered or dropped.
+struct PayloadProbe {
+  int* live;
+  explicit PayloadProbe(int* count) : live(count) { ++*live; }
+  PayloadProbe(const PayloadProbe& other) : live(other.live) { ++*live; }
+  PayloadProbe& operator=(const PayloadProbe&) = delete;
+  ~PayloadProbe() { --*live; }
+};
+
+/// Faults by destination: drop 1 and 5, duplicate 2 and 6, delay 3, delay
+/// and duplicate 7; 4 is healthy.
+struct PerDestinationFaults final : net::LinkFaultModel {
+  net::LinkFault on_message(int /*src*/, int dst) override {
+    net::LinkFault f;
+    f.drop = dst % 4 == 1;
+    f.duplicate = dst % 4 == 2 || dst == 7;
+    if (dst % 4 == 3) f.extra_delay = seconds_to_simtime(0.002);
+    return f;
+  }
+};
+
+TEST(FaultInjection, BroadcastPayloadOutlivesEveryMessageExactlyOnce) {
+  net::TopologyConfig single;
+  net::TopologyConfig rack;
+  rack.kind = net::TopologyKind::kRackAware;
+  rack.racks = 2;
+  for (const net::TopologyConfig& config : {single, rack}) {
+    SCOPED_TRACE(config.kind_name());
+    des::Scheduler sched;
+    net::NetParams params;
+    const auto topo = net::Topology::make(config, sched, params, 8);
+    net::ViaNetwork via(sched, *topo, params);
+    std::vector<std::unique_ptr<des::Resource>> cpus;
+    std::vector<std::unique_ptr<net::Nic>> nics;
+    for (int i = 0; i < 8; ++i) {
+      cpus.push_back(std::make_unique<des::Resource>(sched, "cpu" + std::to_string(i)));
+      nics.push_back(std::make_unique<net::Nic>(sched, "node" + std::to_string(i)));
+      via.add_endpoint({cpus.back().get(), nics.back().get()});
+    }
+    PerDestinationFaults faults;
+    via.set_fault_model(&faults);
+
+    int live = 0;
+    std::vector<int> deliveries(8, 0);
+    int live_at_delivery = -1;
+    via.broadcast(0, 16 * 1024, [probe = PayloadProbe(&live), &deliveries,
+                                 &live_at_delivery](int dst) {
+      ++deliveries[static_cast<std::size_t>(dst)];
+      live_at_delivery = std::max(live_at_delivery, *probe.live);
+    });
+    EXPECT_EQ(live, 1);  // one shared copy, not one per destination
+    sched.run();
+    EXPECT_EQ(live, 0);  // released once the queue drained
+    EXPECT_EQ(live_at_delivery, 1);
+    EXPECT_EQ(deliveries, (std::vector<int>{0, 0, 1, 1, 1, 0, 1, 1}));
+    EXPECT_EQ(via.messages_sent(), 7u);
+    EXPECT_EQ(via.messages_dropped(), 2u);
+    EXPECT_EQ(via.messages_duplicated(), 3u);
+    EXPECT_EQ(via.messages_delayed(), 2u);
+    EXPECT_EQ(via.messages_delivered(), 5u);
+  }
+}
+
+TEST(FaultInjection, BroadcastWithoutPeersReleasesItsPayloadAtOnce) {
+  ViaFixture f(1);
+  int live = 0;
+  int deliveries = 0;
+  f.via.broadcast(0, 16, [probe = PayloadProbe(&live), &deliveries](int) { ++deliveries; });
+  EXPECT_EQ(live, 0);
+  EXPECT_TRUE(f.sched.empty());
+  f.sched.run();
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(f.via.messages_sent(), 0u);
 }
 
 // --- crash / recover integration -----------------------------------------

@@ -81,6 +81,37 @@ TEST(Via, SelfTransmitRejected) {
   EXPECT_THROW(f.via.transmit(1, 1, 4, [] {}), l2s::Error);
 }
 
+TEST(Via, SelfSendRejected) {
+  ViaFixture f(2);
+  EXPECT_THROW(f.via.send(1, 1, 4, [] {}), l2s::Error);
+  // Rejected at the call: the sender's CPU was never charged.
+  EXPECT_FALSE(f.cpus[1]->busy());
+  EXPECT_TRUE(f.sched.empty());
+}
+
+TEST(Via, MessagePoolGrowsByChunksAndReusesRecords) {
+  ViaFixture f(2);
+  EXPECT_EQ(f.via.message_pool_capacity(), 0u);  // nothing pre-sized
+  int delivered = 0;
+  f.via.transmit(0, 1, 4, [&] { ++delivered; });
+  const std::size_t chunk = f.via.message_pool_capacity();
+  ASSERT_GT(chunk, 0u);
+  // Enough messages in flight at once to need several chunks.
+  const int burst = static_cast<int>(2 * chunk + chunk / 2);
+  for (int i = 1; i < burst; ++i) f.via.send(0, 1, 4, [&] { ++delivered; });
+  const std::size_t grown = f.via.message_pool_capacity();
+  EXPECT_EQ(grown % chunk, 0u);
+  EXPECT_GE(grown, static_cast<std::size_t>(burst));
+  EXPECT_LT(grown, static_cast<std::size_t>(burst) + chunk);
+  f.sched.run();
+  EXPECT_EQ(delivered, burst);
+  // Delivered records went back on the free list: a second burst reuses them.
+  for (int i = 0; i < burst; ++i) f.via.send(1, 0, 4, [&] { ++delivered; });
+  f.sched.run();
+  EXPECT_EQ(delivered, 2 * burst);
+  EXPECT_EQ(f.via.message_pool_capacity(), grown);
+}
+
 TEST(Via, BadEndpointRejected) {
   ViaFixture f(2);
   EXPECT_THROW(f.via.transmit(0, 5, 4, [] {}), l2s::Error);

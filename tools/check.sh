@@ -43,7 +43,11 @@
 #      (`-L largen`), the chaos-harness suite (`-L chaos`: overload
 #      defenses + non-stationary arrivals + faults composed), and the
 #      analytic-model suites (`-L model`: Che fixed points, transient
-#      curves, the hierarchical solver and the planner)
+#      curves, the hierarchical solver and the planner); plus, from the
+#      main test binary, the VIA, resource, scheduler, golden-digest,
+#      determinism and zero-spill suites — continuations live in resource
+#      slots and pooled VIA message records, so their lifetimes are checked
+#      too
 #  11. ThreadSanitizer build, running the scheduler/event-kernel (sharded
 #      kernel + mailboxes + windowed barriers included), run_parallel
 #      (including per-job telemetry + merge) and fault-determinism tests,
@@ -105,10 +109,12 @@ if [[ "$skip_bench" -eq 0 ]]; then
 fi
 
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites =="
+  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites, message path =="
   cmake -B build-asan -S . -DL2SIM_SANITIZE=address >/dev/null
-  cmake --build build-asan -j --target l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
+  cmake --build build-asan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
   ctest --test-dir build-asan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos|model'
+  ctest --test-dir build-asan --output-on-failure -j \
+    -R 'Via|Resource|Scheduler|GoldenResults|Determinism|SpillFree'
 fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
