@@ -1,38 +1,20 @@
-// Topology-substrate bench — the flow-mode and pairwise-lookahead gates.
+// Topology-substrate bench — the flow-mode event-cut gate.
 //
-// Two experiments on 256-node clusters:
+// A forwarding-heavy 256-node cell (32 KB responses over a 16-rack
+// oversubscribed fabric segmented at 512 B) runs twice: message-mode
+// store-and-forward vs flow-level max-min transfers. Flow mode replaces
+// the per-segment event cascade with one fluid flow per transfer, and
+// must cut total scheduled events by >= 5x.
 //
-//   flow-mode event cut   a forwarding-heavy cell (32 KB responses over a
-//                         16-rack oversubscribed fabric segmented at 512 B)
-//                         run twice: message-mode store-and-forward vs
-//                         flow-level max-min transfers. Flow mode replaces
-//                         the per-segment event cascade with one fluid
-//                         flow per transfer, and must cut total scheduled
-//                         events by >= 5x without losing determinism
-//                         (serial and sharded digests stay identical per
-//                         mode).
-//
-//   pairwise lookahead    the shard-confined cluster workload on 16
-//                         rack-aligned shards, threaded, uniform global-L
-//                         engine vs the per-pair matrix engine. The
-//                         matrix's min-plus closure widens cross-rack
-//                         windows, so the pairwise run must need strictly
-//                         fewer synchronization windows (deterministic
-//                         gate) and — on machines with >= 8 hardware
-//                         threads — must not spend a larger share of
-//                         worker wall time stalled at window barriers.
-//
-// Emits BENCH_topology.json; exits non-zero if any applicable gate fails.
+// Emits BENCH_topology.json; exits non-zero if the gate fails.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/simulation.hpp"
-#include "l2sim/des/cluster_workload.hpp"
 #include "l2sim/l2sim.hpp"
 #include "l2sim/obs/link_introspection.hpp"
 
@@ -42,7 +24,6 @@ namespace {
 
 struct Gate {
   std::string name;
-  bool applicable;
   bool pass;
   std::string detail;
 };
@@ -52,7 +33,6 @@ struct ModeRow {
   std::uint64_t events = 0;
   std::uint64_t traversals = 0;
   std::string digest;
-  std::string sharded_digest;
   double throughput_rps = 0.0;
 };
 
@@ -65,12 +45,10 @@ int main(int argc, char** argv) {
 
   const double scale = bench_scale();
   std::vector<Gate> gates;
-  auto add_gate = [&](std::string name, bool applicable, bool pass, std::string detail) {
-    gates.push_back({std::move(name), applicable, pass, std::move(detail)});
+  auto add_gate = [&](std::string name, bool pass, std::string detail) {
+    gates.push_back({std::move(name), pass, std::move(detail)});
   };
 
-  // --- experiment 1: flow-level transfers vs per-segment messages ---------
-  //
   // Forwarding-heavy: LARD on a cold-ish 256-node cluster forwards most
   // requests, and 32 KB responses ride the backend-forwarding path as bulk
   // transfers. Message mode segments each one at 512 B per
@@ -108,28 +86,18 @@ int main(int argc, char** argv) {
     cfg.topology.flow_level = flow_level;
     ModeRow row;
     row.mode = flow_level ? "flow" : "message";
-    {
-      core::ClusterSimulation sim(cfg, tr, core::make_policy(core::PolicyKind::kLard));
-      const core::SimResult r = sim.run();
-      row.events = sim.scheduler().events_processed();
-      row.traversals = sim.topology().traversals();
-      row.digest = core::result_digest_hex(r);
-      row.throughput_rps = r.throughput_rps;
-      if (flow_level) {
-        // The per-link picture of the flow-mode run: utilization, carried
-        // bytes and the rack-pair hop/latency matrix the pairwise shard
-        // lookahead is derived from.
-        std::cout << "flow-mode link report:\n";
-        obs::write_topology_report(std::cout, sim.topology(),
-                                   sim.scheduler().now());
-        std::cout << "\n";
-      }
-    }
-    {
-      core::SimConfig sharded = cfg;
-      sharded.engine.shards = 16;
-      row.sharded_digest =
-          core::result_digest_hex(core::run_once(tr, sharded, core::PolicyKind::kLard));
+    core::ClusterSimulation sim(cfg, tr, core::make_policy(core::PolicyKind::kLard));
+    const core::SimResult r = sim.run();
+    row.events = sim.scheduler().events_processed();
+    row.traversals = sim.topology().traversals();
+    row.digest = core::result_digest_hex(r);
+    row.throughput_rps = r.throughput_rps;
+    if (flow_level) {
+      // The per-link picture of the flow-mode run: utilization, carried
+      // bytes and the rack-pair hop/latency matrix.
+      std::cout << "flow-mode link report:\n";
+      obs::write_topology_report(std::cout, sim.topology(), sim.scheduler().now());
+      std::cout << "\n";
     }
     return row;
   };
@@ -151,98 +119,18 @@ int main(int argc, char** argv) {
   modes.print(std::cout);
   std::cout << "\nflow-mode event cut: " << format_double(event_cut, 2) << "x\n";
 
-  add_gate("flow_mode_event_cut_5x", true, event_cut >= 5.0,
+  add_gate("flow_mode_event_cut_5x", event_cut >= 5.0,
            "message-mode " + std::to_string(message.events) + " events vs flow-mode " +
                std::to_string(flow.events) + " = " + format_double(event_cut, 2) +
                "x (need >= 5x)");
-  add_gate("message_mode_digest_replays_sharded", true,
-           message.digest == message.sharded_digest,
-           message.digest == message.sharded_digest
-               ? "serial == 16-shard engine"
-               : "serial " + message.digest + " != sharded " + message.sharded_digest);
-  add_gate("flow_mode_digest_replays_sharded", true, flow.digest == flow.sharded_digest,
-           flow.digest == flow.sharded_digest
-               ? "serial == 16-shard engine"
-               : "serial " + flow.digest + " != sharded " + flow.sharded_digest);
-
-  // --- experiment 2: pairwise lookahead on rack-aligned shards ------------
-  des::WorkloadParams wp;
-  wp.nodes = 256;
-  wp.requests_per_node = std::max(2, static_cast<int>(2.0 * scale));
-  wp.hops = 48;
-  wp.latency = 10'000;
-  wp.cross_rack_latency = 40'000;
-  wp.racks = 16;
-  const int wl_shards = 16;
-  const unsigned threads =
-      std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
-
-  const des::WorkloadResult serial = des::run_cluster_workload_serial(wp);
-  const des::ShardMap map = des::workload_shard_map(wp, wl_shards);
-
-  struct EngineRow {
-    std::string engine;
-    des::WorkloadResult r;
-    double stall_share = 0.0;
-  };
-  auto run_engine = [&](bool pairwise) {
-    des::ShardedScheduler engine(map.shards(), wp.latency,
-                                 des::ShardedScheduler::Mode::kThreaded);
-    if (pairwise)
-      engine.set_pairwise_lookahead(des::workload_lookahead_matrix(wp, map));
-    engine.enable_introspection();
-    EngineRow row;
-    row.engine = pairwise ? "pairwise" : "uniform";
-    row.r = des::run_cluster_workload_on(wp, engine, threads);
-    const auto* intro = engine.introspection();
-    double barrier = 0.0;
-    double run = 0.0;
-    if (intro != nullptr) {
-      for (const double s : intro->worker_barrier_seconds) barrier += s;
-      for (const double s : intro->worker_run_seconds) run += s;
-    }
-    row.stall_share = barrier + run > 0.0 ? barrier / (barrier + run) : 0.0;
-    return row;
-  };
-
-  const EngineRow uniform = run_engine(false);
-  const EngineRow pairwise = run_engine(true);
-
-  std::cout << "\nshard-confined workload (" << wp.nodes << " nodes, " << wp.racks
-            << " racks, " << map.shards() << " shards, " << threads << " threads)\n";
-  TextTable wl({"Engine", "Windows", "Events", "Stall share %", "Digest ok"});
-  for (const EngineRow* row : {&uniform, &pairwise}) {
-    wl.cell(row->engine)
-        .cell(static_cast<long long>(row->r.windows))
-        .cell(static_cast<long long>(row->r.events))
-        .cell(100.0 * row->stall_share, 1)
-        .cell(row->r.digest == serial.digest ? "yes" : "NO")
-        .end_row();
-  }
-  wl.print(std::cout);
-
-  add_gate("workload_digests_match_serial", true,
-           uniform.r.digest == serial.digest && pairwise.r.digest == serial.digest,
-           "uniform and pairwise threaded folds vs the serial reference");
-  add_gate("pairwise_fewer_windows", true, pairwise.r.windows < uniform.r.windows,
-           "uniform " + std::to_string(uniform.r.windows) + " windows vs pairwise " +
-               std::to_string(pairwise.r.windows) + " (need strictly fewer)");
-  const bool stall_applicable = std::thread::hardware_concurrency() >= 8;
-  add_gate("pairwise_no_extra_barrier_stall", stall_applicable,
-           pairwise.stall_share <= uniform.stall_share,
-           stall_applicable
-               ? "uniform stall share " + format_double(100.0 * uniform.stall_share, 1) +
-                     "% vs pairwise " + format_double(100.0 * pairwise.stall_share, 1) +
-                     "%"
-               : "skipped: < 8 hardware threads");
 
   // --- report --------------------------------------------------------------
   std::cout << "\ngates:\n";
   bool all_pass = true;
   for (const auto& g : gates) {
-    const char* verdict = !g.applicable ? "SKIP" : g.pass ? "PASS" : "FAIL";
-    std::cout << "  [" << verdict << "] " << g.name << ": " << g.detail << "\n";
-    if (g.applicable) all_pass = all_pass && g.pass;
+    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": " << g.detail
+              << "\n";
+    all_pass = all_pass && g.pass;
   }
 
   std::ofstream out(out_path);
@@ -262,19 +150,9 @@ int main(int argc, char** argv) {
       << "    \"message_digest\": \"" << message.digest << "\",\n"
       << "    \"flow_digest\": \"" << flow.digest << "\"\n"
       << "  },\n"
-      << "  \"lookahead\": {\n"
-      << "    \"shards\": " << map.shards() << ",\n"
-      << "    \"threads\": " << threads << ",\n"
-      << "    \"uniform_windows\": " << uniform.r.windows << ",\n"
-      << "    \"pairwise_windows\": " << pairwise.r.windows << ",\n"
-      << "    \"uniform_stall_share\": " << format_double(uniform.stall_share, 4) << ",\n"
-      << "    \"pairwise_stall_share\": " << format_double(pairwise.stall_share, 4)
-      << "\n"
-      << "  },\n"
       << "  \"gates\": {\n";
   for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": "
-        << (!gates[i].applicable ? "\"skipped\"" : gates[i].pass ? "true" : "false")
+    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
         << (i + 1 == gates.size() ? "\n" : ",\n");
   out << "  },\n"
       << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"

@@ -30,9 +30,6 @@ enum class ConnectionState : std::uint8_t {
   kDone,          ///< completed or failed; no callback may act on it again
 };
 
-/// Back-compat alias: the pre-engine name of the lifecycle enum.
-using ConnectionStage = ConnectionState;
-
 [[nodiscard]] constexpr const char* connection_state_name(ConnectionState s) {
   switch (s) {
     case ConnectionState::kArriving: return "arriving";

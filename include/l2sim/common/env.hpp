@@ -11,15 +11,18 @@ namespace l2s {
 /// warmed beforehand); L2SIM_SCALE=1 runs paper-scale traces.
 [[nodiscard]] double bench_scale();
 
-/// Parse a double environment variable with a default.
+/// Parse a double environment variable with a default (unset or empty).
+/// Throws l2s::Error unless the whole value parses without overflow or
+/// underflow.
 [[nodiscard]] double env_double(const char* name, double fallback);
 
-/// Parse an integer environment variable with a default.
+/// Parse a base-10 integer environment variable with a default (unset or
+/// empty). Throws l2s::Error unless the whole value parses and fits an
+/// int64.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// The process-wide thread budget every parallel component (run_parallel
-/// job workers, ShardedScheduler windows) draws from, so their product
-/// never oversubscribes the machine. L2SIM_THREADS overrides; otherwise
+/// How many worker threads run_parallel starts when its caller does not
+/// say: L2SIM_THREADS when set (0 = auto; must fit an unsigned), otherwise
 /// hardware concurrency. Always >= 1.
 [[nodiscard]] unsigned thread_budget();
 

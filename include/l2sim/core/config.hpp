@@ -2,14 +2,6 @@
 // it: arrival generation, admission control, client retries and persistent
 // connections each have their own sub-config, embedded in SimConfig next
 // to the cluster-wide hardware and fault parameters.
-//
-// Field migration from the flat pre-engine SimConfig:
-//   open_loop_arrival_rate        -> arrival.open_loop_rate
-//   dns_entry_skew                -> arrival.dns_entry_skew
-//   buffer_slots_per_node         -> admission.buffer_slots_per_node
-//   mean_requests_per_connection  -> persistence.mean_requests_per_connection
-//   persistent_mode               -> persistence.mode
-//   retry (SimConfig::RetryParams)-> retry (RetryConfig; alias kept)
 #pragma once
 
 #include <cstdint>
@@ -206,31 +198,6 @@ struct PersistenceConfig {
   PersistentMode mode = PersistentMode::kConnectionHandoff;
 };
 
-/// Which DES engine drives the run (consumed by ClusterSimulation).
-struct EngineConfig {
-  /// `shards` picks the sentinel for "one shard per available thread"
-  /// (the process thread budget, L2SIM_THREADS-overridable).
-  static constexpr int kAutoShards = -1;
-
-  /// Number of DES shards the cluster's nodes are partitioned across.
-  ///   0            — the classic single-heap serial engine (default);
-  ///   N >= 1       — the sharded engine with N shards (clamped to the
-  ///                  node count; N == 1 is the sharded code path with a
-  ///                  single shard);
-  ///   kAutoShards  — one shard per thread-budget thread.
-  /// The sharded cluster engine runs in sequential-merge mode, which is
-  /// bit-identical to the serial engine by construction (shards share one
-  /// sequence counter) — the golden-digest suite pins the equivalence for
-  /// every golden cell. Threaded window execution is the kernel-level
-  /// fast path (see docs/parallel_des.md for the phase split).
-  int shards = 0;
-
-  /// Collect des::ShardIntrospection on the sharded engine (per-shard
-  /// event/window counters, cross-shard message matrix, lookahead slack).
-  /// Observation only — never changes event order. Ignored when serial.
-  bool introspect = false;
-};
-
 struct SimConfig {
   int nodes = 16;
   cluster::NodeParams node;  ///< per-node cache (32 MB default), CPU, disk
@@ -247,15 +214,11 @@ struct SimConfig {
 
   ArrivalConfig arrival;
   AdmissionConfig admission;
-  EngineConfig engine;
   RetryConfig retry;
   PersistenceConfig persistence;
   /// Overload-resilience defenses (all off by default; bit-identical to
   /// the pre-overload engine when off — the golden-digest suite pins it).
   OverloadConfig overload;
-  /// Back-compat alias: RetryConfig was SimConfig::RetryParams before the
-  /// sub-config split.
-  using RetryParams = RetryConfig;
 
   /// Interval at which per-node open-connection counts are sampled to
   /// compute the load-imbalance statistics (0 disables sampling).

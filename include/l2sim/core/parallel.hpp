@@ -23,27 +23,14 @@ struct SimJob {
   double set_shrink_seconds = 20.0;
 };
 
-/// Worker threads a single simulation with this config occupies while it
-/// runs. The sharded cluster engine currently executes in sequential-merge
-/// mode (one thread regardless of shard count — see docs/parallel_des.md),
-/// so this is 1 today; it exists so run_parallel's budget arithmetic stays
-/// correct when threaded cluster execution lands.
-[[nodiscard]] unsigned engine_threads(const SimConfig& sim);
-
-/// Workers run_parallel may start for `jobs` jobs of `per_job_threads`
-/// threads each under a total budget of `budget` threads: clamped to the
-/// job count and to max(1, budget / per_job_threads), so jobs x threads
-/// never exceeds the budget (one job always runs, even when it alone
-/// overshoots).
-[[nodiscard]] unsigned compute_worker_threads(std::size_t jobs,
-                                              unsigned per_job_threads,
-                                              unsigned budget);
+/// Workers run_parallel starts for `jobs` single-threaded jobs under a
+/// budget of `budget` threads: the budget clamped to [1, jobs] (0 jobs
+/// need no worker).
+[[nodiscard]] unsigned compute_worker_threads(std::size_t jobs, unsigned budget);
 
 /// Run all jobs and return their results in job order. `threads == 0`
 /// uses the process thread budget (L2SIM_THREADS override, else hardware
-/// concurrency) divided by the per-job engine thread need, so sharded
-/// runs inside a sweep never oversubscribe the machine; `threads == 1`
-/// runs inline. If any job
+/// concurrency); `threads == 1` runs inline. If any job
 /// throws, the first failure (after all threads join) is rethrown nested
 /// inside an Error naming the job: "run_parallel: job i (trace=...,
 /// nodes=..., policy=...) failed". Catch as l2s::Error and use

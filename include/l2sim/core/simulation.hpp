@@ -29,8 +29,6 @@
 #include "l2sim/core/engine/context.hpp"
 #include "l2sim/core/metrics.hpp"
 #include "l2sim/des/scheduler.hpp"
-#include "l2sim/des/shard_map.hpp"
-#include "l2sim/des/sharded_scheduler.hpp"
 #include "l2sim/fault/detector.hpp"
 #include "l2sim/fault/runtime.hpp"
 #include "l2sim/net/flow.hpp"
@@ -54,16 +52,6 @@ namespace engine {
 class MetricsCollector;
 }  // namespace engine
 
-/// The per-shard-pair post() bound the topology implies for the cluster
-/// engine: entry (s, d) is the host-side VIA floor (sender CPU + NIC
-/// overhead) plus the minimum topology latency between any node of shard
-/// s and any node of shard d. Rack-aligned shards that share no rack get
-/// entries wider than NetParams::min_cross_node_latency(); the matrix
-/// feeds des::ShardedScheduler::set_pairwise_lookahead.
-[[nodiscard]] std::vector<SimTime> topology_lookahead_matrix(
-    const net::Topology& topo, const des::ShardMap& map,
-    const net::NetParams& params);
-
 class ClusterSimulation {
  public:
   ClusterSimulation(SimConfig config, const trace::Trace& trace,
@@ -80,19 +68,12 @@ class ClusterSimulation {
   // --- component access (tests, custom analyses) -------------------------
   [[nodiscard]] policy::Policy& policy() { return *policy_; }
   [[nodiscard]] cluster::Node& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
-  /// The front-end scheduler: the single heap of the serial engine, or
-  /// shard 0 of the sharded engine (where the shared front-end components
-  /// — router, interconnect, arrival source — live).
+  /// The run's event scheduler (every component schedules on it).
   [[nodiscard]] des::Scheduler& scheduler() { return sched_; }
   /// The interconnect the run was built on (never null).
   [[nodiscard]] net::Topology& topology() { return *topo_; }
   /// The flow-level bulk network (null unless config.topology.flow_level).
   [[nodiscard]] net::FlowNetwork* flow_network() { return flow_.get(); }
-  /// The sharded engine, or null when config.engine.shards == 0 (serial).
-  [[nodiscard]] des::ShardedScheduler* sharded_engine() { return sharded_.get(); }
-  /// The node -> shard partition (one entity per node; a single shard
-  /// when the serial engine is active).
-  [[nodiscard]] const des::ShardMap& shard_map() const { return shard_map_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
   /// The run's telemetry bridge (null unless config.telemetry.enabled).
   [[nodiscard]] telemetry::SimTelemetry* telemetry() { return telemetry_.get(); }
@@ -110,15 +91,9 @@ class ClusterSimulation {
 
   SimConfig config_;
   const trace::Trace& trace_;
-  // Engine selection (config.engine.shards): nodes partition across the
-  // shard map, each node's components schedule on its shard's heap, and
-  // the front-end shares shard 0. Serial runs keep the single solo heap;
-  // sched_ aliases whichever is active (declaration order matters: the
-  // hardware below binds sched_ in its constructors).
-  des::ShardMap shard_map_;
-  std::unique_ptr<des::ShardedScheduler> sharded_;
-  des::Scheduler solo_sched_;
-  des::Scheduler& sched_;
+  // Declared before the hardware below, which binds it in its
+  // constructors.
+  des::Scheduler sched_;
   std::unique_ptr<net::Topology> topo_;
   net::Router router_;
   net::ViaNetwork via_;

@@ -84,11 +84,9 @@ struct AnalyticSpec {
 };
 
 /// The full experiment description. `sim` carries the cluster hardware,
-/// arrival mode (sim.arrival), persistence (sim.persistence), fault
-/// schedule (sim.fault_plan) and DES engine selection (sim.engine.shards:
-/// 0 = serial, N = sharded, kAutoShards = thread budget — run_simulation
-/// picks serial or sharded transparently, results bit-identical either
-/// way); the fields here are what the engines need beyond a SimConfig.
+/// arrival mode (sim.arrival), persistence (sim.persistence) and fault
+/// schedule (sim.fault_plan); the fields here are what the engines need
+/// beyond a SimConfig.
 struct ExperimentSpec {
   std::string name;  ///< label for reports/CSV
   TraceSpec trace;

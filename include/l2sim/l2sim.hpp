@@ -56,7 +56,6 @@
 #include "l2sim/obs/diff.hpp"
 #include "l2sim/obs/exporters.hpp"
 #include "l2sim/obs/recorder.hpp"
-#include "l2sim/obs/shard_introspection.hpp"
 #include "l2sim/model/cluster_model.hpp"
 #include "l2sim/model/latency.hpp"
 #include "l2sim/model/parameters.hpp"

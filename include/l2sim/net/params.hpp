@@ -49,18 +49,6 @@ struct NetParams {
   [[nodiscard]] SimTime cpu_msg_time() const {
     return seconds_to_simtime(cpu_msg_overhead_s);
   }
-
-  /// Minimum elapsed time between an event on one node and its earliest
-  /// possible consequence on another: before anything can happen at a
-  /// receiver, a VIA message pays the sender-side CPU overhead, the
-  /// sender-side NIC overhead, and the switch traversal (3 + 6 + 1 us at
-  /// the paper's constants — payload transfer and receiver-side costs only
-  /// add to it). This bound is the guaranteed lookahead that lets the
-  /// sharded DES engine (des/sharded_scheduler.hpp) run node shards
-  /// concurrently without ever delivering a message into a shard's past.
-  [[nodiscard]] SimTime min_cross_node_latency() const {
-    return cpu_msg_time() + nic_transfer_time(0) + switch_latency();
-  }
 };
 
 }  // namespace l2s::net

@@ -1,7 +1,6 @@
 // Topology introspection surface: lift a net::Topology's per-link
 // accounting (message-mode utilization, flow-mode bits, bytes carried)
-// into telemetry metrics and a human-readable report, the same translation
-// pattern shard_introspection.hpp applies to the sharded scheduler.
+// into telemetry metrics and a human-readable report.
 // Reading a topology is strictly passive — no events, no state changes —
 // so exporting is digest-inert by construction.
 #pragma once

@@ -18,11 +18,9 @@ namespace l2s::telemetry {
 /// "X" complete events on per-node resource tracks (entry / hand-off /
 /// storage / reply), fault transitions and failed requests become instant
 /// events, and probe series become "C" counter tracks. Timestamps are
-/// microseconds (SimTime ns / 1000). Sample series labeled {shard=N} land
-/// on dedicated shard processes (pid 10000 + N, named "shard N") so DES
-/// introspection timelines get their own tracks instead of piling onto
-/// node 0. `extra_events` are pre-rendered JSON event objects (e.g. from
-/// obs::decision_chrome_events) spliced into the traceEvents array.
+/// microseconds (SimTime ns / 1000). `extra_events` are pre-rendered JSON
+/// event objects (e.g. from obs::decision_chrome_events) spliced into the
+/// traceEvents array.
 void write_chrome_trace(std::ostream& out, const Snapshot& snapshot,
                         const std::vector<std::string>& extra_events);
 void write_chrome_trace(std::ostream& out, const Snapshot& snapshot);

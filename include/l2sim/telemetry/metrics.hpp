@@ -65,9 +65,6 @@ class Histogram {
   explicit Histogram(HistogramParams params = {});
 
   void add(double value);
-  /// Add `count` observations of `value` at once (bulk import of
-  /// pre-bucketed data, e.g. DES introspection histograms).
-  void add_count(double value, std::uint64_t count);
   [[nodiscard]] std::uint64_t count() const { return total_; }
   [[nodiscard]] const HistogramParams& params() const { return params_; }
   [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }

@@ -1,5 +1,7 @@
 #include "l2sim/common/env.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -12,8 +14,11 @@ double env_double(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(raw, &end);
-  if (end == raw) throw_error(std::string(name) + " is not a number: " + raw);
+  if (end == raw || *end != '\0')
+    throw_error(std::string(name) + " is not a number: " + raw);
+  if (errno == ERANGE) throw_error(std::string(name) + " is out of range: " + raw);
   return v;
 }
 
@@ -21,14 +26,19 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw) throw_error(std::string(name) + " is not an integer: " + raw);
+  if (end == raw || *end != '\0')
+    throw_error(std::string(name) + " is not an integer: " + raw);
+  if (errno == ERANGE) throw_error(std::string(name) + " is out of range: " + raw);
   return v;
 }
 
 unsigned thread_budget() {
   const std::int64_t v = env_int("L2SIM_THREADS", 0);
-  if (v < 0) throw_error("L2SIM_THREADS must be >= 0 (0 = auto)");
+  if (v < 0 || v > std::int64_t{UINT_MAX})
+    throw_error("L2SIM_THREADS must be in [0, " + std::to_string(UINT_MAX) +
+                "] (0 = auto)");
   if (v > 0) return static_cast<unsigned>(v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -1,9 +1,7 @@
 #include "l2sim/core/simulation.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "l2sim/common/env.hpp"
 #include "l2sim/common/error.hpp"
 #include "l2sim/core/engine/admission.hpp"
 #include "l2sim/core/engine/arrival.hpp"
@@ -21,19 +19,6 @@ namespace l2s::core {
 
 namespace {
 
-/// How many shards config.engine.shards resolves to: 0 keeps the serial
-/// engine, kAutoShards takes the thread budget, anything else is clamped
-/// to [1, nodes]. (nodes is re-validated later; the max(1, ...) keeps the
-/// shard map constructible until SimConfig::validate() reports it.)
-int resolved_shard_count(const SimConfig& config) {
-  if (config.engine.shards == 0) return 0;
-  const int nodes = std::max(1, config.nodes);
-  const int requested = config.engine.shards == EngineConfig::kAutoShards
-                            ? static_cast<int>(thread_budget())
-                            : config.engine.shards;
-  return std::clamp(requested, 1, nodes);
-}
-
 /// Build the interconnect for the run. Validates the topology geometry
 /// first so a bad --racks / --fat-tree-k reports through the config error
 /// path instead of tripping a constructor invariant. Takes the *member*
@@ -48,47 +33,10 @@ std::unique_ptr<net::Topology> make_topology(const SimConfig& config,
 
 }  // namespace
 
-std::vector<SimTime> topology_lookahead_matrix(const net::Topology& topo,
-                                               const des::ShardMap& map,
-                                               const net::NetParams& params) {
-  const int n = map.shards();
-  // Host-side floor every VIA message pays before it can touch the wire
-  // (the topology-independent part of min_cross_node_latency()).
-  const SimTime host = params.cpu_msg_time() + params.nic_transfer_time(0);
-  std::vector<SimTime> m(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    const auto [sb, se] = map.range(s);
-    for (int d = 0; d < n; ++d) {
-      const auto [db, de] = map.range(d);
-      SimTime best = std::numeric_limits<SimTime>::max();
-      for (int src = sb; src < se; ++src)
-        for (int dst = db; dst < de; ++dst)
-          best = std::min(best, topo.min_latency(src, dst));
-      m[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-        static_cast<std::size_t>(d)] = host + best;
-    }
-  }
-  return m;
-}
-
 ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace,
                                      std::unique_ptr<policy::Policy> policy)
     : config_(config),
       trace_(trace),
-      // Rack-aligned sharding: no rack ever straddles two shards, so the
-      // pairwise lookahead between distinct shards is at least the
-      // cross-rack latency (single-switch rack_span == 1 keeps the old
-      // plain entity partition).
-      shard_map_(std::max(1, config.nodes),
-                 std::max(1, resolved_shard_count(config)),
-                 config.topology.rack_span(std::max(1, config.nodes))),
-      sharded_(resolved_shard_count(config) > 0
-                   ? std::make_unique<des::ShardedScheduler>(
-                         shard_map_.shards(),
-                         config.net.min_cross_node_latency(),
-                         des::ShardedScheduler::Mode::kSequentialMerge)
-                   : nullptr),
-      sched_(sharded_ != nullptr ? sharded_->shard(0) : solo_sched_),
       topo_(make_topology(config_, sched_)),
       router_(sched_, config_.net),
       via_(sched_, *topo_, config_.net),
@@ -97,16 +45,6 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   config_.validate();
   L2S_REQUIRE(policy_ != nullptr);
   if (trace_.request_count() == 0) throw_error("ClusterSimulation: empty trace");
-  if (sharded_ != nullptr && config_.engine.introspect) sharded_->enable_introspection();
-  if (sharded_ != nullptr) {
-    // Tighten the engine's post() bound from the global min-cross-node
-    // latency to the topology's per-shard-pair floor. Merge mode executes
-    // in (time, src, seq) order regardless, so this is digest-inert; it
-    // is what lets a threaded engine open wider windows between shards
-    // that share no rack.
-    sharded_->set_pairwise_lookahead(
-        topology_lookahead_matrix(*topo_, shard_map_, config_.net));
-  }
   if (config_.topology.flow_level) {
     flow_ = std::make_unique<net::FlowNetwork>(sched_, *topo_, config_.net);
     via_.set_flow_network(flow_.get());
@@ -120,12 +58,7 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
     const double speed = config_.node_speed_factors.empty()
                              ? 1.0
                              : config_.node_speed_factors[static_cast<std::size_t>(i)];
-    // Under the sharded engine each node's hardware schedules on its own
-    // shard's heap; node-local events never leave the shard.
-    des::Scheduler& node_sched =
-        sharded_ != nullptr ? sharded_->shard(shard_map_.shard_of(i)) : sched_;
-    nodes_.push_back(
-        std::make_unique<cluster::Node>(node_sched, i, config_.node, speed));
+    nodes_.push_back(std::make_unique<cluster::Node>(sched_, i, config_.node, speed));
     nodes_.back()->set_rack(topo_->rack_of(i));
     via_.add_endpoint({&nodes_.back()->cpu(), &nodes_.back()->nic()});
     pctx.nodes.push_back(nodes_.back().get());
@@ -215,14 +148,7 @@ void ClusterSimulation::replay_trace() {
   arrival_->start();
   overload_->start();
   metrics_->start_sampling();
-  if (sharded_ != nullptr) {
-    // Sequential merge: global (time, seq) order, bit-identical to the
-    // serial drain below — the golden-digest suite holds both to the same
-    // pinned digests.
-    sharded_->run();
-  } else {
-    sched_.run();
-  }
+  sched_.run();
   L2S_REQUIRE(admission_->drained());
 }
 

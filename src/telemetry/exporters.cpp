@@ -1,6 +1,5 @@
 #include "l2sim/telemetry/exporters.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -63,17 +62,6 @@ namespace {
   }
   return -1;
 }
-
-/// DES shard id of a per-shard metric ("shard" label), or -1.
-[[nodiscard]] int shard_of(const Labels& labels) {
-  for (const auto& [k, v] : labels) {
-    if (k == "shard") return std::stoi(v);
-  }
-  return -1;
-}
-
-/// Shard tracks live on their own trace processes, well clear of node pids.
-constexpr int kShardPidBase = 10000;
 
 /// Quantile over snapshotted histogram buckets (same walk as
 /// Histogram::quantile, reconstructed from the value-type copy).
@@ -140,17 +128,6 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snapshot,
     }
   }
 
-  // Name a process for every DES shard that has per-shard series, so the
-  // introspection timelines render as labeled "shard N" tracks.
-  int max_shard = -1;
-  for (const MetricSnapshot& m : snapshot.metrics) {
-    if (m.kind == MetricKind::kSampleSeries) max_shard = std::max(max_shard, shard_of(m.labels));
-  }
-  for (int s = 0; s <= max_shard; ++s) {
-    w.next() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << (kShardPidBase + s)
-             << ",\"args\":{\"name\":\"shard " << s << "\"}}";
-  }
-
   for (const Span& s : snapshot.spans) {
     // Slices degrade gracefully for spans that died mid-lifecycle: a stage
     // whose timestamps were never set is skipped.
@@ -181,12 +158,11 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snapshot,
              << ",\"tid\":0,\"ts\":" << to_us(ev.at) << "}";
   }
 
-  // Probe series become counter tracks on their node's (or shard's) process.
+  // Probe series become counter tracks on their node's process.
   for (const MetricSnapshot& m : snapshot.metrics) {
     if (m.kind != MetricKind::kSampleSeries) continue;
     const int node = node_of(m.labels);
-    const int shard = shard_of(m.labels);
-    const int pid = shard >= 0 ? kShardPidBase + shard : (node >= 0 ? node : 0);
+    const int pid = node >= 0 ? node : 0;
     const std::string name = json_escape(m.name);
     for (const auto& [t, v] : m.samples) {
       w.next() << "{\"ph\":\"C\",\"name\":\"" << name << "\",\"pid\":" << pid

@@ -64,21 +64,6 @@ void Histogram::add(double value) {
   ++total_;
 }
 
-void Histogram::add_count(double value, std::uint64_t count) {
-  if (count == 0) return;
-  std::size_t i = 0;
-  if (value >= params_.base) {
-    const double x = std::log(value / params_.base) * inv_log_growth_;
-    if (x >= static_cast<double>(counts_.size() - 2)) {
-      i = counts_.size() - 1;
-    } else {
-      i = static_cast<std::size_t>(x) + 1;
-    }
-  }
-  counts_[i] += count;
-  total_ += count;
-}
-
 double Histogram::bucket_lower_bound(std::size_t i) const {
   if (i == 0) return 0.0;
   double bound = params_.base;

@@ -1,8 +1,8 @@
 // The deterministic chaos harness (ctest -L chaos): non-stationary
 // arrivals (flash crowd, diurnal swing, popularity churn) composed with a
 // fault::FaultPlan (crash, lossy links, heartbeat detection) and the full
-// overload defense stack — replayed bit-identically run-over-run, across
-// DES shard counts, and under core::run_parallel. A chaos experiment that
+// overload defense stack — replayed bit-identically run-over-run and
+// under core::run_parallel. A chaos experiment that
 // cannot be replayed cannot be debugged; these suites pin that every
 // scenario here is a pure function of (trace, config, seed).
 #include <gtest/gtest.h>
@@ -129,19 +129,6 @@ TEST(Chaos, ScenariosReplayBitIdentically) {
     const auto r2 = run_once(tr, s.cfg, s.kind);
     EXPECT_EQ(result_digest_hex(r1), result_digest_hex(r2)) << s.name;
     expect_partition(r1, tr.request_count());
-  }
-}
-
-TEST(Chaos, ShardedEngineMatchesSerialOnEveryScenario) {
-  const auto tr = chaos_trace();
-  for (const auto& s : scenarios()) {
-    const std::string expected = result_digest_hex(run_once(tr, s.cfg, s.kind));
-    for (const int shards : {1, 2, EngineConfig::kAutoShards}) {
-      SimConfig cfg = s.cfg;
-      cfg.engine.shards = shards;
-      const auto r = run_once(tr, cfg, s.kind);
-      EXPECT_EQ(expected, result_digest_hex(r)) << s.name << " shards=" << shards;
-    }
   }
 }
 

@@ -1,4 +1,4 @@
-// FaultPlan / DetectionParams / RetryParams validation: every malformed
+// FaultPlan / DetectionParams / RetryConfig validation: every malformed
 // schedule must be rejected before the run starts, because a fault plan
 // that silently no-ops (or crashes mid-run) would invalidate a whole
 // availability study.

@@ -228,28 +228,6 @@ TEST(GoldenResults, FlightRecorderDoesNotPerturbDigests) {
   }
 }
 
-TEST(GoldenResults, ShardedEngineMatchesSerialDigests) {
-  // The sharded engine (engine.shards != 0) partitions each cell's nodes
-  // across per-shard heaps and drains them in sequential-merge order; it
-  // must reproduce the serial engine's pinned digest on EVERY golden cell
-  // for one shard, two shards, and the auto (thread-budget) shard count.
-  // These runs pin the sharded engine to the same goldens as serial, so a
-  // partitioning or merge-order bug in the engine restructuring cannot
-  // hide behind "serial still passes".
-  const auto tr = golden_trace();
-  const auto cells = matrix();
-  for (const auto& c : cells) {
-    const std::string expected = digest_hex(run_once(tr, c.cfg, c.kind));
-    for (const int shards : {1, 2, EngineConfig::kAutoShards}) {
-      SimConfig cfg = c.cfg;
-      cfg.engine.shards = shards;
-      const auto r = run_once(tr, cfg, c.kind);
-      EXPECT_EQ(expected, digest_hex(r))
-          << c.name << " shards=" << shards;
-    }
-  }
-}
-
 TEST(GoldenResults, RunParallelIsBitIdenticalToSerial) {
   const auto tr = golden_trace();
   const auto cells = matrix();

@@ -1,5 +1,5 @@
 // Large-N sanity net (ctest -L largen): a 256-node cluster at heavy
-// traffic, driven through the sharded DES engine, checked against the
+// traffic, driven through the DES kernel, checked against the
 // M/M/infinity ranked-servers asymptotics (Eschenfeldt, Gross & Pippenger;
 // see PAPERS.md).
 //
@@ -22,8 +22,7 @@
 
 #include "l2sim/common/rng.hpp"
 #include "l2sim/common/units.hpp"
-#include "l2sim/des/shard_map.hpp"
-#include "l2sim/des/sharded_scheduler.hpp"
+#include "l2sim/des/scheduler.hpp"
 
 namespace l2s::des {
 namespace {
@@ -36,20 +35,16 @@ struct RankedClusterResult {
   std::uint64_t arrivals = 0;
 };
 
-/// Simulate the ranked-servers cluster on the sharded engine (sequential
-/// merge: the dispatcher's idle set is shared across shards). All
-/// randomness comes from one sequential stream, consumed in deterministic
-/// merge order.
-RankedClusterResult run_ranked_cluster(int nodes, int shards, double lambda,
+/// Simulate the ranked-servers cluster on one scheduler. All randomness
+/// comes from one sequential stream, consumed in event order.
+RankedClusterResult run_ranked_cluster(int nodes, double lambda,
                                        double mean_service_s,
                                        double horizon_s, std::uint64_t seed) {
   const SimTime latency = 10'000;  // VIA minimum cross-node latency (10 us)
   const SimTime horizon = seconds_to_simtime(horizon_s);
   const SimTime sample_every = seconds_to_simtime(0.0005);
 
-  ShardMap map(nodes, shards);
-  ShardedScheduler engine(map.shards(), latency,
-                          ShardedScheduler::Mode::kSequentialMerge);
+  Scheduler sched;
   Rng rng(seed);
 
   std::vector<bool> busy(static_cast<std::size_t>(nodes), false);
@@ -62,15 +57,13 @@ RankedClusterResult run_ranked_cluster(int nodes, int shards, double lambda,
   double sum_sq = 0.0;
   std::uint64_t samples = 0;
 
-  Scheduler& front = engine.shard(0);  // dispatcher + samplers live here
-
   // Periodic busy-count sampler.
   auto sample = [&](auto&& self) -> void {
     sum += busy_count;
     sum_sq += static_cast<double>(busy_count) * busy_count;
     ++samples;
-    if (front.now() + sample_every <= horizon)
-      front.after(sample_every, [self] { self(self); });
+    if (sched.now() + sample_every <= horizon)
+      sched.after(sample_every, [self] { self(self); });
   };
 
   // Poisson arrival source with ordered-hunt dispatch.
@@ -87,30 +80,28 @@ RankedClusterResult run_ranked_cluster(int nodes, int shards, double lambda,
       ++drops;  // every server busy: heavy-traffic loss, must stay rare
     } else {
       busy[static_cast<std::size_t>(server)] = true;
-      busy_since[static_cast<std::size_t>(server)] = front.now();
+      busy_since[static_cast<std::size_t>(server)] = sched.now();
       ++busy_count;
       const SimTime hold =
           latency + 1 +
           seconds_to_simtime(rng.next_exponential(1.0 / mean_service_s));
-      // The release executes on the server's own shard, arriving there
-      // through the cross-shard mailbox contract (hold > lookahead).
-      engine.post(0, map.shard_of(server), front.now() + hold,
-                  [&busy, &busy_since, &busy_ns, &busy_count, server,
-                   release = front.now() + hold] {
-                    busy[static_cast<std::size_t>(server)] = false;
-                    busy_ns[static_cast<std::size_t>(server)] +=
-                        release - busy_since[static_cast<std::size_t>(server)];
-                    --busy_count;
-                  });
+      sched.at(sched.now() + hold,
+               [&busy, &busy_since, &busy_ns, &busy_count, server,
+                release = sched.now() + hold] {
+                 busy[static_cast<std::size_t>(server)] = false;
+                 busy_ns[static_cast<std::size_t>(server)] +=
+                     release - busy_since[static_cast<std::size_t>(server)];
+                 --busy_count;
+               });
     }
     const SimTime gap = 1 + seconds_to_simtime(rng.next_exponential(lambda));
-    if (front.now() + gap <= horizon)
-      front.after(gap, [self] { self(self); });
+    if (sched.now() + gap <= horizon)
+      sched.after(gap, [self] { self(self); });
   };
 
-  front.at(1, [&sample] { sample(sample); });
-  front.at(1, [&arrive] { arrive(arrive); });
-  engine.run();
+  sched.at(1, [&sample] { sample(sample); });
+  sched.at(1, [&arrive] { arrive(arrive); });
+  sched.run();
 
   RankedClusterResult r;
   r.arrivals = arrivals;
@@ -118,7 +109,7 @@ RankedClusterResult run_ranked_cluster(int nodes, int shards, double lambda,
       arrivals == 0 ? 0.0 : static_cast<double>(drops) / static_cast<double>(arrivals);
   r.mean_busy = sum / static_cast<double>(samples);
   r.var_busy = sum_sq / static_cast<double>(samples) - r.mean_busy * r.mean_busy;
-  const double span = static_cast<double>(front.now() - 1);
+  const double span = static_cast<double>(sched.now() - 1);
   for (int i = 0; i < nodes; ++i)
     r.utilization.push_back(static_cast<double>(busy_ns[static_cast<std::size_t>(i)]) /
                             span);
@@ -134,8 +125,8 @@ TEST(LargeN, RankedServersMatchHeavyTrafficAsymptotics) {
   const double a = kLambda * (kMeanService + 10e-6);
   ASSERT_LT(a, kNodes * 0.85);  // heavy traffic, but below saturation
 
-  const auto r = run_ranked_cluster(kNodes, /*shards=*/8, kLambda,
-                                    kMeanService, kHorizon, /*seed=*/42);
+  const auto r = run_ranked_cluster(kNodes, kLambda, kMeanService, kHorizon,
+                                    /*seed=*/42);
 
   // ~125k arrivals in the horizon; enough for tight means.
   EXPECT_GT(r.arrivals, 100'000u);
@@ -166,21 +157,6 @@ TEST(LargeN, RankedServersMatchHeavyTrafficAsymptotics) {
 
   // The idle-server distribution: mean idle count == N - a.
   EXPECT_NEAR(kNodes - r.mean_busy, kNodes - a, 0.05 * a);
-}
-
-TEST(LargeN, RankedClusterIsEnginePartitionInvariant) {
-  // The shard count is an execution detail: identical streams, identical
-  // merge order, identical statistics for any partition of the 256 nodes.
-  const auto one = run_ranked_cluster(256, 1, 50'000.0, 0.0016, 0.1, 7);
-  const auto eight = run_ranked_cluster(256, 8, 50'000.0, 0.0016, 0.1, 7);
-  const auto many = run_ranked_cluster(256, 64, 50'000.0, 0.0016, 0.1, 7);
-  EXPECT_EQ(one.arrivals, eight.arrivals);
-  EXPECT_EQ(one.mean_busy, eight.mean_busy);
-  EXPECT_EQ(one.var_busy, eight.var_busy);
-  EXPECT_EQ(one.utilization, eight.utilization);
-  EXPECT_EQ(one.arrivals, many.arrivals);
-  EXPECT_EQ(one.mean_busy, many.mean_busy);
-  EXPECT_EQ(one.utilization, many.utilization);
 }
 
 }  // namespace

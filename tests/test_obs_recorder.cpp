@@ -1,6 +1,6 @@
 // Flight-recorder behaviour: determinism of the decision stream (the
-// tentpole contract — byte-identical run-over-run, across engine shard
-// counts, and under run_parallel), ring retention, warm-up tagging,
+// tentpole contract — byte-identical run-over-run and under
+// run_parallel), ring retention, warm-up tagging,
 // sink-only streaming, and the per-cause overload counters the decision
 // stream feeds telemetry.
 #include <gtest/gtest.h>
@@ -87,26 +87,10 @@ TEST(FlightRecorder, DecisionStreamCoversTheVocabulary) {
   EXPECT_TRUE(has(obs::DecisionKind::kFailure));
 }
 
-TEST(FlightRecorder, ShardCountsProduceIdenticalStreams) {
-  const auto tr = obs_trace();
-  const SimConfig base = busy_config();
-  const auto reference = run_once(tr, base, PolicyKind::kL2s);
-  const auto& ref = decisions_of(reference);
-  for (const int shards : {1, 2, EngineConfig::kAutoShards}) {
-    SimConfig cfg = base;
-    cfg.engine.shards = shards;
-    const auto r = run_once(tr, cfg, PolicyKind::kL2s);
-    const auto& d = decisions_of(r);
-    EXPECT_EQ(ref.recorded, d.recorded) << "shards=" << shards;
-    EXPECT_EQ(ref.records, d.records) << "shards=" << shards;
-  }
-}
-
 TEST(FlightRecorder, RunParallelMatchesSerialStreams) {
   const auto tr = obs_trace();
   std::vector<SimConfig> cfgs = {busy_config(), busy_config()};
   cfgs[1].seed = 99;
-  cfgs[1].engine.shards = 2;
 
   std::vector<SimJob> jobs;
   for (const auto& cfg : cfgs) {

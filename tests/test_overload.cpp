@@ -3,7 +3,7 @@
 // queue delay / AIMD), the retry token bucket, request hedging, and
 // brownout — plus the end-of-pass goodput-bucket flush the overload bench
 // depends on. Every defended run must replay bit-identically (the chaos
-// suite extends this across shards), and a default OverloadConfig must
+// suite extends this under run_parallel), and a default OverloadConfig must
 // leave every new counter at zero.
 #include <gtest/gtest.h>
 

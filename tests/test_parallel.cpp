@@ -195,30 +195,12 @@ TEST(Parallel, FigureMatchesSerialRunner) {
 }
 
 TEST(Parallel, WorkerCountRespectsTheSharedThreadBudget) {
-  // jobs x per-job-threads must never exceed the budget: a sweep of
-  // sharded simulations on an 8-way machine gets 8/k workers, not 8.
-  EXPECT_EQ(compute_worker_threads(16, 1, 8), 8u);
-  EXPECT_EQ(compute_worker_threads(16, 2, 8), 4u);
-  EXPECT_EQ(compute_worker_threads(16, 3, 8), 2u);
-  EXPECT_EQ(compute_worker_threads(16, 8, 8), 1u);
-  // A single job may overshoot the budget alone (progress beats strictness).
-  EXPECT_EQ(compute_worker_threads(16, 9, 8), 1u);
+  EXPECT_EQ(compute_worker_threads(16, 8), 8u);
   // Never more workers than jobs.
-  EXPECT_EQ(compute_worker_threads(3, 1, 8), 3u);
-  EXPECT_EQ(compute_worker_threads(0, 1, 8), 0u);
-  // Degenerate inputs are clamped rather than dividing by zero.
-  EXPECT_EQ(compute_worker_threads(4, 0, 0), 1u);
-}
-
-TEST(Parallel, EngineThreadsIsOneForTheMergeModeClusterEngine) {
-  // The sharded cluster engine executes in sequential-merge mode, so a
-  // sharded job still occupies a single budget slot; this pin documents
-  // the contract the threaded cluster engine will have to update.
-  SimConfig serial;
-  SimConfig sharded;
-  sharded.engine.shards = EngineConfig::kAutoShards;
-  EXPECT_EQ(engine_threads(serial), 1u);
-  EXPECT_EQ(engine_threads(sharded), 1u);
+  EXPECT_EQ(compute_worker_threads(3, 8), 3u);
+  EXPECT_EQ(compute_worker_threads(0, 8), 0u);
+  // A zero budget is clamped to one worker.
+  EXPECT_EQ(compute_worker_threads(4, 0), 1u);
 }
 
 TEST(Parallel, ThreadBudgetEnvOverrideBoundsTheWorkerPool) {

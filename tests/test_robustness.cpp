@@ -6,7 +6,6 @@
 
 #include "l2sim/common/rng.hpp"
 #include "l2sim/core/experiment.hpp"
-#include "l2sim/des/process.hpp"
 #include "l2sim/trace/clf_reader.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
@@ -59,35 +58,6 @@ TEST(ClfFuzz, MutatedValidLinesStayConsistent) {
       EXPECT_GT(tr.requests()[0].bytes, 0u);
       EXPECT_EQ(tr.files().count(), 1u);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Randomized StageChain structure: total completion time equals the sum of
-// stage durations when resources are fresh.
-
-TEST(StageChainRandom, CompletionTimeIsSumOfStages) {
-  Rng rng(42);
-  for (int round = 0; round < 30; ++round) {
-    des::Scheduler sched;
-    std::vector<std::unique_ptr<des::Resource>> resources;
-    des::StageChain chain(sched);
-    SimTime expected = 0;
-    const auto stages = 1 + rng.next_below(12);
-    for (std::uint64_t i = 0; i < stages; ++i) {
-      const auto d = static_cast<SimTime>(1 + rng.next_below(1000));
-      expected += d;
-      if (rng.next_below(2) == 0) {
-        resources.push_back(std::make_unique<des::Resource>(sched, "r"));
-        chain.use(*resources.back(), d);
-      } else {
-        chain.delay(d);
-      }
-    }
-    SimTime done_at = -1;
-    chain.run([&] { done_at = sched.now(); });
-    sched.run();
-    EXPECT_EQ(done_at, expected) << "round " << round;
   }
 }
 

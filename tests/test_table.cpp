@@ -76,6 +76,10 @@ TEST(Env, DoubleFallback) {
   EXPECT_DOUBLE_EQ(env_double("L2SIM_TEST_D", 1.0), 0.25);
   ::setenv("L2SIM_TEST_D", "garbage", 1);
   EXPECT_THROW(env_double("L2SIM_TEST_D", 1.0), Error);
+  ::setenv("L2SIM_TEST_D", "0.5abc", 1);  // trailing garbage
+  EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
+  ::setenv("L2SIM_TEST_D", "1e999", 1);  // overflows a double
+  EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
   ::unsetenv("L2SIM_TEST_D");
 }
 
@@ -84,6 +88,12 @@ TEST(Env, IntFallback) {
   EXPECT_EQ(env_int("L2SIM_TEST_UNSET", 7), 7);
   ::setenv("L2SIM_TEST_I", "42", 1);
   EXPECT_EQ(env_int("L2SIM_TEST_I", 7), 42);
+  ::setenv("L2SIM_TEST_I", "4x", 1);  // trailing garbage
+  EXPECT_THROW((void)env_int("L2SIM_TEST_I", 7), Error);
+  ::setenv("L2SIM_TEST_I", "1e9", 1);  // not base-10 integer syntax
+  EXPECT_THROW((void)env_int("L2SIM_TEST_I", 7), Error);
+  ::setenv("L2SIM_TEST_I", "99999999999999999999", 1);  // overflows int64
+  EXPECT_THROW((void)env_int("L2SIM_TEST_I", 7), Error);
   ::unsetenv("L2SIM_TEST_I");
 }
 
@@ -92,9 +102,26 @@ TEST(Env, BenchScaleValidates) {
   EXPECT_THROW(bench_scale(), Error);
   ::setenv("L2SIM_SCALE", "1.5", 1);
   EXPECT_THROW(bench_scale(), Error);
+  ::setenv("L2SIM_SCALE", "0.5abc", 1);
+  EXPECT_THROW((void)bench_scale(), Error);
   ::setenv("L2SIM_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(bench_scale(), 0.5);
   ::unsetenv("L2SIM_SCALE");
+}
+
+TEST(ThreadBudget, EnvOverrideAndDefault) {
+  ASSERT_EQ(setenv("L2SIM_THREADS", "3", 1), 0);
+  EXPECT_EQ(thread_budget(), 3u);
+  ASSERT_EQ(setenv("L2SIM_THREADS", "-1", 1), 0);
+  EXPECT_THROW((void)thread_budget(), Error);
+  ASSERT_EQ(setenv("L2SIM_THREADS", "4x", 1), 0);
+  EXPECT_THROW((void)thread_budget(), Error);
+  ASSERT_EQ(setenv("L2SIM_THREADS", "1e9", 1), 0);
+  EXPECT_THROW((void)thread_budget(), Error);
+  ASSERT_EQ(setenv("L2SIM_THREADS", "4294967297", 1), 0);  // UINT_MAX + 2
+  EXPECT_THROW((void)thread_budget(), Error);
+  ASSERT_EQ(unsetenv("L2SIM_THREADS"), 0);
+  EXPECT_GE(thread_budget(), 1u);  // hardware concurrency, floored at 1
 }
 
 }  // namespace

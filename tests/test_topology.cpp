@@ -1,10 +1,8 @@
 // Topology substrate tests (`ctest -L topo`): geometry validation, the
 // per-pair latency/hop contracts of the three interconnects, message-mode
-// store-and-forward traversal, flow-level bulk transfers, the pairwise
-// shard-lookahead property (ShardedScheduler::post honours
-// min_latency(src_shard, dst_shard) on every pair of every topology), and
-// the topology axis of the golden-digest net: rack-aware / fat-tree /
-// flow-level digests pinned and replayed across engine shard counts.
+// store-and-forward traversal, flow-level bulk transfers, link
+// introspection, and the topology axis of the golden-digest net:
+// rack-aware / fat-tree / flow-level digests pinned.
 //
 // Regenerating the topology digests (only after an *intentional*
 // behaviour change):
@@ -12,11 +10,9 @@
 //       --gtest_filter='TopologyGolden.*' 2>&1 | grep GOLDEN
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,10 +22,7 @@
 #include "l2sim/common/cli_args.hpp"
 #include "l2sim/common/error.hpp"
 #include "l2sim/core/experiment.hpp"
-#include "l2sim/core/simulation.hpp"
 #include "l2sim/core/spec.hpp"
-#include "l2sim/des/cluster_workload.hpp"
-#include "l2sim/des/sharded_scheduler.hpp"
 #include "l2sim/net/flow.hpp"
 #include "l2sim/net/topology.hpp"
 #include "l2sim/net/via.hpp"
@@ -80,13 +73,6 @@ TEST(TopologyConfig_, RejectsZeroSegmentBytes) {
   TopologyConfig cfg;
   cfg.segment_bytes = 0;
   EXPECT_THROW(cfg.validate(4), Error);
-}
-
-TEST(TopologyConfig_, RackSpanIsTheShardAlignmentUnit) {
-  EXPECT_EQ(TopologyConfig{}.rack_span(64), 1);         // single switch
-  EXPECT_EQ(rack_config(4).rack_span(16), 4);
-  EXPECT_EQ(fat_tree_config(8).rack_span(128), 4);      // k/2 hosts per edge
-  EXPECT_EQ(rack_config(3).rack_span(4), 1);            // invalid: defensive 1
 }
 
 TEST(TopologyConfig_, SimConfigValidateReportsGeometry) {
@@ -405,151 +391,6 @@ TEST(Broadcast, IsHopAccuratePerTopologyPath) {
   EXPECT_LT(delivered[2], delivered[3]);  // shared uplink FIFO ordering
 }
 
-// --- pairwise shard lookahead ----------------------------------------------
-
-TEST(PairwiseLookahead, SetterValidatesShapeAndPositivity) {
-  des::ShardedScheduler engine(2, 10, des::ShardedScheduler::Mode::kThreaded);
-  EXPECT_THROW(engine.set_pairwise_lookahead({1, 2, 3}), Error);     // not 2x2
-  EXPECT_THROW(engine.set_pairwise_lookahead({1, 0, 1, 1}), Error);  // zero entry
-  engine.set_pairwise_lookahead({10, 40, 40, 10});
-  EXPECT_TRUE(engine.pairwise_lookahead());
-  EXPECT_EQ(engine.pair_lookahead(0, 1), 40);
-  EXPECT_EQ(engine.lookahead(), 10);  // global = min entry
-}
-
-// The property the tentpole rests on: post() honours the topology's
-// min_latency(src_shard, dst_shard) for EVERY shard pair, on all three
-// topologies, with shards aligned to the topology's rack span.
-TEST(PairwiseLookahead, PostHonoursMinLatencyOnEveryPairOfEveryTopology) {
-  struct Case {
-    const char* tag;
-    TopologyConfig cfg;
-    int nodes;
-    int shards;
-  };
-  const std::vector<Case> cases = {
-      {"single", TopologyConfig{}, 8, 4},
-      {"rack", rack_config(2), 8, 2},
-      {"fattree", fat_tree_config(4), 16, 4},
-  };
-  for (const auto& c : cases) {
-    des::Scheduler sched;
-    net::NetParams params;
-    const auto topo = Topology::make(c.cfg, sched, params, c.nodes);
-    const des::ShardMap map(c.nodes, c.shards, c.cfg.rack_span(c.nodes));
-    const auto matrix = core::topology_lookahead_matrix(*topo, map, params);
-
-    // The matrix really is the per-pair floor: brute-force over node pairs.
-    const SimTime host = params.cpu_msg_time() + params.nic_transfer_time(0);
-    for (int s = 0; s < map.shards(); ++s) {
-      for (int d = 0; d < map.shards(); ++d) {
-        SimTime best = std::numeric_limits<SimTime>::max();
-        const auto [sb, se] = map.range(s);
-        const auto [db, de] = map.range(d);
-        for (int src = sb; src < se; ++src)
-          for (int dst = db; dst < de; ++dst)
-            best = std::min(best, topo->min_latency(src, dst));
-        EXPECT_EQ(matrix[static_cast<std::size_t>(s * map.shards() + d)],
-                  host + best)
-            << c.tag << " pair " << s << "->" << d;
-      }
-    }
-
-    des::ShardedScheduler engine(map.shards(), params.min_cross_node_latency(),
-                                 des::ShardedScheduler::Mode::kThreaded);
-    engine.set_pairwise_lookahead(matrix);
-    for (int s = 0; s < map.shards(); ++s) {
-      for (int d = 0; d < map.shards(); ++d) {
-        if (s == d) continue;
-        const SimTime bound = engine.pair_lookahead(s, d);
-        EXPECT_EQ(bound,
-                  matrix[static_cast<std::size_t>(s * map.shards() + d)]);
-        EXPECT_THROW(engine.post(s, d, bound - 1, [] {}), Error)
-            << c.tag << " pair " << s << "->" << d;
-        engine.post(s, d, bound, [] {});  // exactly at the floor: accepted
-      }
-    }
-    engine.run(2);  // drain the accepted posts; must not throw
-  }
-}
-
-TEST(PairwiseLookahead, WorkloadMatrixMatchesRackOverlap) {
-  des::WorkloadParams p;
-  p.nodes = 16;
-  p.racks = 4;
-  p.latency = 10'000;
-  p.cross_rack_latency = 40'000;
-  const des::ShardMap map = des::workload_shard_map(p, 2);
-  EXPECT_EQ(map.shards(), 2);
-  // Rack-aligned partition: racks 0-1 in shard 0, racks 2-3 in shard 1.
-  EXPECT_EQ(map.shard_of(7), 0);
-  EXPECT_EQ(map.shard_of(8), 1);
-  const auto m = des::workload_lookahead_matrix(p, map);
-  EXPECT_EQ(m[0], 10'000);  // diagonal: shards hold same-rack node pairs
-  EXPECT_EQ(m[3], 10'000);
-  EXPECT_EQ(m[1], 40'000);  // cross-shard: no shared rack
-  EXPECT_EQ(m[2], 40'000);
-}
-
-TEST(PairwiseLookahead, ShardedWorkloadMatchesSerialWithPairwiseWindows) {
-  des::WorkloadParams p;
-  p.nodes = 32;
-  p.requests_per_node = 2;
-  p.hops = 24;
-  p.racks = 4;
-  p.latency = 10'000;
-  p.cross_rack_latency = 40'000;
-  const auto serial = des::run_cluster_workload_serial(p);
-  ASSERT_GT(serial.events, 0u);
-
-  for (const int shards : {2, 4}) {
-    for (const auto mode : {des::ShardedScheduler::Mode::kSequentialMerge,
-                            des::ShardedScheduler::Mode::kThreaded}) {
-      const des::ShardMap map = des::workload_shard_map(p, shards);
-      des::ShardedScheduler uniform(map.shards(), p.latency, mode);
-      const auto base = des::run_cluster_workload_on(p, uniform, 2);
-      EXPECT_EQ(base.digest, serial.digest);
-      EXPECT_EQ(base.events, serial.events);
-      EXPECT_EQ(base.makespan, serial.makespan);
-
-      des::ShardedScheduler pairwise(map.shards(), p.latency, mode);
-      pairwise.set_pairwise_lookahead(des::workload_lookahead_matrix(p, map));
-      const auto wide = des::run_cluster_workload_on(p, pairwise, 2);
-      EXPECT_EQ(wide.digest, serial.digest)
-          << "shards=" << shards << " mode=" << static_cast<int>(mode);
-      EXPECT_EQ(wide.events, serial.events);
-      EXPECT_EQ(wide.makespan, serial.makespan);
-      // Wider cross-rack bounds can only widen windows (fewer barriers).
-      EXPECT_LE(wide.windows, base.windows);
-    }
-  }
-}
-
-TEST(PairwiseLookahead, ClusterEngineInstallsTheTopologyMatrix) {
-  trace::SyntheticSpec spec;
-  spec.files = 20;
-  spec.requests = 40;
-  const auto tr = trace::generate(spec);
-  core::SimConfig cfg;
-  cfg.nodes = 4;
-  cfg.engine.shards = 2;
-  cfg.topology = rack_config(2);
-  core::ClusterSimulation sim(cfg, tr, core::make_policy(core::PolicyKind::kTraditional));
-  ASSERT_NE(sim.sharded_engine(), nullptr);
-  EXPECT_TRUE(sim.sharded_engine()->pairwise_lookahead());
-  const net::NetParams params;
-  const SimTime host = params.cpu_msg_time() + params.nic_transfer_time(0);
-  const SimTime core_lat = seconds_to_simtime(rack_config(2).core_latency_s);
-  // Shards align to racks (2 nodes each): the cross-shard floor is the
-  // full cross-rack path, wider than the old global min_cross_node bound.
-  EXPECT_EQ(sim.sharded_engine()->pair_lookahead(0, 1),
-            host + 2 * params.switch_latency() + core_lat);
-  EXPECT_EQ(sim.sharded_engine()->pair_lookahead(0, 0),
-            host + params.switch_latency());
-  EXPECT_GT(sim.sharded_engine()->pair_lookahead(0, 1),
-            params.min_cross_node_latency());
-}
-
 // --- link introspection -----------------------------------------------------
 
 TEST(LinkIntrospection, ExportsGaugesAndCounters) {
@@ -708,25 +549,6 @@ TEST(TopologyGolden, MatrixMatchesRecordedDigests) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].first, kTopoGolden[i].first);
     EXPECT_EQ(got[i].second, kTopoGolden[i].second) << got[i].first;
-  }
-}
-
-TEST(TopologyGolden, DigestsReplayAcrossEngineShardCounts) {
-  // The acceptance bar: rack-aware and fat-tree (and flow-level) runs are
-  // bit-identical between the serial engine and the sharded engine at
-  // every shard count — topology contention and flow completions replay
-  // deterministically however the nodes are partitioned.
-  if (std::getenv("L2SIM_GOLDEN_PRINT") != nullptr) GTEST_SKIP();
-  const auto tr = topo_golden_trace();
-  for (const auto& c : topology_matrix()) {
-    const std::string expected = core::result_digest_hex(core::run_once(tr, c.cfg, c.kind));
-    for (const int shards : {1, 2, core::EngineConfig::kAutoShards}) {
-      core::SimConfig cfg = c.cfg;
-      cfg.engine.shards = shards;
-      const auto r = core::run_once(tr, cfg, c.kind);
-      EXPECT_EQ(expected, core::result_digest_hex(r))
-          << c.name << " shards=" << shards;
-    }
   }
 }
 

@@ -7,39 +7,30 @@
 #      docs/bench_fault.md, plus bit-reproducibility)
 #   4. telemetry bench (gates: <=1% overhead with spans off, <=5% at 1/64
 #      span sampling; schema in docs/telemetry.md)
-#   5. parallel DES bench (gates: serial/sharded digest equality on the
-#      kernel folds, the golden 36-cell matrix and a 256-node cluster run;
-#      >= 4x threaded speedup when >= 8 threads are usable; see
-#      docs/parallel_des.md)
-#   6. overload bench (gates: metastable-collapse acceptance from
+#   5. overload bench (gates: metastable-collapse acceptance from
 #      docs/overload.md — undefended 3x-flash+crash baseline collapses,
 #      the AIMD+budget+brownout stack keeps >= 70% of nominal goodput,
 #      chaos replay bit-identical serial and under run_parallel); emits
 #      build/BENCH_overload.json
-#   7. obs bench (gates: <=2% saturated-throughput overhead with the
-#      default flight-recorder ring on; see docs/observability.md) and the
-#      shard-introspection study (gate: threaded fold with introspection
-#      on stays bit-identical to the serial reference); emits
+#   6. obs bench (gates: <=2% saturated-throughput overhead with the
+#      default flight-recorder ring on; see docs/observability.md); emits
 #      build/BENCH_obs.json
-#   8. topology bench (gates: flow-level transfers cut scheduled events
-#      >= 5x on the 256-node forwarding-heavy rack cell with digests
-#      replaying serial vs sharded, pairwise lookahead needs strictly
-#      fewer windows than the global-L baseline on rack-aligned shards;
-#      see docs/topology.md); emits build/BENCH_topology.json
-#   9. analytic bench (gates: Che hit rate within 5 pp of the DES on
+#   7. topology bench (gate: flow-level transfers cut scheduled events
+#      >= 5x on the 256-node forwarding-heavy rack cell; see
+#      docs/topology.md); emits build/BENCH_topology.json
+#   8. analytic bench (gates: Che hit rate within 5 pp of the DES on
 #      every fault-free golden/stress cell, >= 100x analytic-vs-DES
 #      wall-clock on the 64-cell sweep; see docs/analytic.md) and the
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#  10. AddressSanitizer build, running the fault-injection suites
+#   9. AddressSanitizer build, running the fault-injection suites
 #      (`ctest -L fault`) — the crash/retry/epoch machinery is where
 #      lifetime bugs would hide — the telemetry suites (`-L telemetry`:
 #      the span ring and exporter buffers), the flight-recorder suites
-#      (`-L obs`: decision ring wrap, diff replays, exporter buffers,
-#      shard introspection), the topology suites (`-L topo`: interconnect
-#      geometry, flow-level transfers, pairwise lookahead, the rack/
-#      fat-tree golden axis), the large-N sharded-engine suite
+#      (`-L obs`: decision ring wrap, diff replays, exporter buffers), the
+#      topology suites (`-L topo`: interconnect geometry, flow-level
+#      transfers, the rack/fat-tree golden axis), the large-N suite
 #      (`-L largen`), the chaos-harness suite (`-L chaos`: overload
 #      defenses + non-stationary arrivals + faults composed), and the
 #      analytic-model suites (`-L model`: Che fixed points, transient
@@ -48,12 +39,10 @@
 #      determinism and zero-spill suites — continuations live in resource
 #      slots and pooled VIA message records, so their lifetimes are checked
 #      too
-#  11. ThreadSanitizer build, running the scheduler/event-kernel (sharded
-#      kernel + mailboxes + windowed barriers included), run_parallel
-#      (including per-job telemetry + merge) and fault-determinism tests,
-#      plus the fault, telemetry, obs, topo, largen and chaos labels — the
-#      obs label covers the introspection counters the sharded workers
-#      write; topo covers the pairwise-lookahead window protocol
+#  10. ThreadSanitizer build, running the scheduler/event-kernel, thread
+#      budget, run_parallel (including per-job telemetry + merge) and
+#      fault-determinism tests, plus the fault, telemetry, obs, topo,
+#      largen and chaos labels
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-bench]
 set -euo pipefail
@@ -92,15 +81,11 @@ if [[ "$skip_bench" -eq 0 ]]; then
   ./build/bench/fault_bench --out build/BENCH_fault.json
   echo "== telemetry bench (overhead gates) =="
   ./build/bench/telemetry_bench --out build/BENCH_telemetry.json
-  echo "== parallel DES bench (speedup + digest-equality gates) =="
-  ./build/bench/parallel_des_bench --out build/BENCH_parallel_des.json
   echo "== overload bench (metastable-collapse acceptance gates) =="
   ./build/bench/overload_bench --out build/BENCH_overload.json
   echo "== obs bench (flight-recorder overhead gate) =="
   ./build/bench/obs_bench --out build/BENCH_obs.json
-  echo "== shard introspection study (observe-never-perturb gate) =="
-  ./build/bench/shard_introspection_study
-  echo "== topology bench (flow-mode event cut + pairwise lookahead gates) =="
+  echo "== topology bench (flow-mode event-cut gate) =="
   ./build/bench/topology_bench --out build/BENCH_topology.json
   echo "== analytic bench (Che-vs-DES accuracy + sweep speedup gates) =="
   ./build/bench/analytic_bench --out build/BENCH_analytic.json
@@ -118,11 +103,15 @@ if [[ "$skip_asan" -eq 0 ]]; then
 fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
-  echo "== ThreadSanitizer: scheduler (incl. sharded) + parallel + fault + telemetry + obs + topo + chaos tests =="
+  echo "== ThreadSanitizer: scheduler + parallel + fault + telemetry + obs + topo + chaos tests =="
   cmake -B build-tsan -S . -DL2SIM_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests
+  # Every test binary, l2sim_model_tests included: ctest before 3.29 takes
+  # the argument after a bare `-j` as its job count, so it drops the -R/-L
+  # filter below and runs every registered test, and an unbuilt binary
+  # fails as <name>_NOT_BUILT.
+  cmake --build build-tsan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
   ctest --test-dir build-tsan --output-on-failure -j \
-    -R 'Scheduler|ShardMap|ShardedScheduler|SchedulerHooks|ThreadBudget|Parallel|Determinism'
+    -R 'Scheduler|ThreadBudget|Parallel|Determinism'
   ctest --test-dir build-tsan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos'
 fi
 

@@ -71,8 +71,8 @@ int usage() {
       "                 [--flow-level]\n"
       "  figure         --paper NAME [--scale S] [--csv DIR] [--threads T]\n"
       "  diff           (--trace FILE | --paper NAME [--scale S]) [run flags]\n"
-      "                 [--seed-a N] [--seed-b N] [--shards-a K|auto]\n"
-      "                 [--shards-b K|auto] [--policy-a P] [--policy-b P]\n"
+      "                 [--seed-a N] [--seed-b N] [--policy-a P]\n"
+      "                 [--policy-b P]\n"
       "                 [--context N]   replay both sides with the flight\n"
       "                 recorder on and report the first divergent decision\n"
       "                 record (exit 0 identical, 3 diverged)\n";
@@ -413,11 +413,6 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-int parse_shards(const std::string& value) {
-  if (value == "auto") return core::EngineConfig::kAutoShards;
-  return std::atoi(value.c_str());
-}
-
 // Replay two configurations with the flight recorder on and report the
 // first decision record where they disagree — the debugger for "these two
 // runs should have matched digests and didn't".
@@ -450,8 +445,6 @@ int cmd_diff(const Args& args) {
     a.sim.seed = static_cast<std::uint64_t>(args.get_int("seed-a", 0));
   if (args.has("seed-b"))
     b.sim.seed = static_cast<std::uint64_t>(args.get_int("seed-b", 0));
-  if (args.has("shards-a")) a.sim.engine.shards = parse_shards(args.get("shards-a"));
-  if (args.has("shards-b")) b.sim.engine.shards = parse_shards(args.get("shards-b"));
   if (args.has("policy-a")) a.policy = policy_kind_by_name(args.get("policy-a"));
   if (args.has("policy-b")) b.policy = policy_kind_by_name(args.get("policy-b"));
 
