@@ -18,6 +18,9 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const;
+  /// The flag's value as a number, or `fallback` when the flag is absent.
+  /// Throws l2s::Error naming the flag unless the whole value parses (no
+  /// trailing characters, no NaN, no overflow; get_int: fits an int).
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

@@ -12,8 +12,8 @@ namespace l2s {
 [[nodiscard]] double bench_scale();
 
 /// Parse a double environment variable with a default (unset or empty).
-/// Throws l2s::Error unless the whole value parses without overflow or
-/// underflow.
+/// Throws l2s::Error unless the whole value parses, is not NaN, and does
+/// not overflow or underflow.
 [[nodiscard]] double env_double(const char* name, double fallback);
 
 /// Parse a base-10 integer environment variable with a default (unset or

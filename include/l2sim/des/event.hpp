@@ -69,16 +69,7 @@ class InlineEvent {
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineEvent> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   InlineEvent(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_.inline_buf)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      void* block = EventArena::allocate(sizeof(Fn));
-      ::new (block) Fn(std::forward<F>(f));
-      storage_.heap = block;
-      ops_ = &heap_ops<Fn>;
-    }
+    emplace(std::forward<F>(f));
   }
 
   InlineEvent(InlineEvent&& other) noexcept { move_from(other); }
@@ -95,6 +86,31 @@ class InlineEvent {
     destroy();
     ops_ = nullptr;
     return *this;
+  }
+
+  /// Replace the callable with `f`, built directly in this object's
+  /// storage (no temporary InlineEvent to relocate). If building `f`
+  /// throws, the event is left empty.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineEvent> &&
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+  void emplace(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    *this = nullptr;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(storage_.inline_buf)) Fn(std::forward<F>(f));
+      ops_ = &inline_ops<Fn>;
+    } else {
+      void* block = EventArena::allocate(sizeof(Fn));
+      try {
+        ::new (block) Fn(std::forward<F>(f));
+      } catch (...) {
+        EventArena::deallocate(block, sizeof(Fn));
+        throw;
+      }
+      storage_.heap = block;
+      ops_ = &heap_ops<Fn>;
+    }
   }
 
   InlineEvent(const InlineEvent&) = delete;
@@ -118,8 +134,8 @@ class InlineEvent {
     // Move-construct `dst` from `src` and destroy `src`. nullptr means the
     // callable is trivially copyable and relocates via plain memcpy — the
     // common case (captures of `this`, raw pointers and scalars), kept
-    // branch-cheap because the kernel relocates every event twice (into
-    // its slot, then out to fire). Spilled events relocate by stealing
+    // branch-cheap for continuations that move between owners (a resource
+    // queue, a VIA message record). Spilled events relocate by stealing
     // the arena block pointer and never consult this.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;  ///< nullptr = trivially destructible

@@ -46,7 +46,7 @@ class Resource {
     EventFn done;
   };
 
-  void start_next();
+  void start(SimTime service, EventFn&& done);
   void complete();
 
   Scheduler& sched_;

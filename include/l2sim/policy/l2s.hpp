@@ -20,7 +20,6 @@
 // Defaults are the paper's simulation settings: T = 20, t = 10, delta = 4.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "l2sim/cluster/load_tracker.hpp"
@@ -98,14 +97,14 @@ class L2sPolicy final : public Policy {
   [[nodiscard]] int pick_low(const cluster::LoadView& view, const std::vector<int>& candidates);
   [[nodiscard]] int pick_low_all(const cluster::LoadView& view);
 
-  [[nodiscard]] NodeState& state(int node) { return *states_[static_cast<std::size_t>(node)]; }
+  [[nodiscard]] NodeState& state(int node) { return states_[static_cast<std::size_t>(node)]; }
   [[nodiscard]] const NodeState& state(int node) const {
-    return *states_[static_cast<std::size_t>(node)];
+    return states_[static_cast<std::size_t>(node)];
   }
 
   L2sParams params_;
   ClusterContext ctx_;
-  std::vector<std::unique_ptr<NodeState>> states_;
+  std::vector<NodeState> states_;
   std::vector<int> all_nodes_;
   std::vector<int> alive_entries_;  ///< DNS rotation after failures (empty = all)
   std::uint64_t rng_state_ = 0x2545f4914f6cdd1dULL;

@@ -1,9 +1,15 @@
 // Per-file server sets: the nodes believed to cache each file, plus the
 // time of the last membership change (both LARD's front-end table and each
 // L2S node's replicated copy use this structure).
+//
+// The table is a dense array indexed by file id (ids are dense, see
+// storage/file_set.hpp). Each entry holds an immutable member list shared
+// by every replica that adopted it: add() and remove() build a new list
+// (copy-on-write, member order kept), so an L2S set change is one list
+// that the origin and all N-1 receivers point at, not N copies.
 #pragma once
 
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "l2sim/common/units.hpp"
@@ -13,8 +19,16 @@ namespace l2s::policy {
 
 class ServerSetMap {
  public:
-  /// Members for a file; empty vector if the file was never assigned.
-  [[nodiscard]] const std::vector<int>& members(storage::FileId file) const;
+  /// One immutable membership list; null means no members.
+  using Members = std::shared_ptr<const std::vector<int>>;
+
+  /// Members for a file; empty if the file was never assigned. The
+  /// reference stays valid until the next add(), remove(), adopt() or
+  /// clear() on this map.
+  [[nodiscard]] const std::vector<int>& members(storage::FileId file) const {
+    const Entry* e = find(file);
+    return e == nullptr || !e->nodes ? kEmpty : *e->nodes;
+  }
 
   [[nodiscard]] bool contains(storage::FileId file, int node) const;
 
@@ -24,24 +38,35 @@ class ServerSetMap {
   /// Remove `node` (no-op if absent). Records `now` if removed.
   void remove(storage::FileId file, int node, SimTime now);
 
-  /// Replace the whole membership (applying a received broadcast).
-  void replace(storage::FileId file, std::vector<int> nodes, SimTime now);
+  /// The file's current list, to hand to other replicas.
+  [[nodiscard]] Members shared_members(storage::FileId file) const {
+    const Entry* e = find(file);
+    return e == nullptr ? nullptr : e->nodes;
+  }
 
-  [[nodiscard]] SimTime last_modified(storage::FileId file) const;
+  /// Take `members` as the file's whole membership (applying a received
+  /// broadcast). Records `now`.
+  void adopt(storage::FileId file, Members members, SimTime now);
 
-  [[nodiscard]] std::size_t tracked_files() const { return sets_.size(); }
+  [[nodiscard]] SimTime last_modified(storage::FileId file) const {
+    const Entry* e = find(file);
+    return e == nullptr ? 0 : e->modified;
+  }
 
-  /// Total membership entries (replication degree x files).
-  [[nodiscard]] std::size_t total_members() const;
-
-  void clear() { sets_.clear(); }
+  void clear() { entries_.clear(); }
 
  private:
   struct Entry {
-    std::vector<int> nodes;
+    Members nodes;
     SimTime modified = 0;
   };
-  std::unordered_map<storage::FileId, Entry> sets_;
+
+  [[nodiscard]] const Entry* find(storage::FileId file) const {
+    return file < entries_.size() ? &entries_[file] : nullptr;
+  }
+  [[nodiscard]] Entry& entry_for(storage::FileId file);  ///< grows the table
+
+  std::vector<Entry> entries_;
   static const std::vector<int> kEmpty;
 };
 

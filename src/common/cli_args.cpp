@@ -1,6 +1,10 @@
 #include "l2sim/common/cli_args.hpp"
 
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
+
+#include "l2sim/common/error.hpp"
+#include "parse_number.hpp"
 
 namespace l2s {
 
@@ -32,12 +36,16 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  return it == values_.end() ? fallback : parse_double("--" + key, it->second.c_str());
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::int64_t v = parse_int("--" + key, it->second.c_str());
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+    throw_error("--" + key + " is out of range: " + it->second);
+  return static_cast<int>(v);
 }
 
 }  // namespace l2s

@@ -1,37 +1,25 @@
 #include "l2sim/common/env.hpp"
 
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <string>
 #include <thread>
 
 #include "l2sim/common/error.hpp"
+#include "parse_number.hpp"
 
 namespace l2s {
 
 double env_double(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0')
-    throw_error(std::string(name) + " is not a number: " + raw);
-  if (errno == ERANGE) throw_error(std::string(name) + " is out of range: " + raw);
-  return v;
+  return parse_double(name, raw);
 }
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0')
-    throw_error(std::string(name) + " is not an integer: " + raw);
-  if (errno == ERANGE) throw_error(std::string(name) + " is out of range: " + raw);
-  return v;
+  return parse_int(name, raw);
 }
 
 unsigned thread_budget() {

@@ -9,18 +9,19 @@ Resource::Resource(Scheduler& sched, std::string name)
 
 void Resource::submit(SimTime service, EventFn done) {
   L2S_REQUIRE(service >= 0);
+  // An idle resource has an empty queue: the job starts at once.
+  if (!busy_) {
+    start(service, std::move(done));
+    return;
+  }
   queue_.push_back(Job{service, std::move(done)});
-  if (!busy_) start_next();
 }
 
-void Resource::start_next() {
-  L2S_REQUIRE(!busy_ && !queue_.empty());
+void Resource::start(SimTime service, EventFn&& done) {
   busy_ = true;
-  Job& job = queue_.front();
-  in_service_time_ = job.service;
-  in_service_done_ = std::move(job.done);
-  queue_.pop_front();
-  sched_.after(in_service_time_, [this]() { complete(); });
+  in_service_time_ = service;
+  in_service_done_ = std::move(done);
+  sched_.after(service, [this]() { complete(); });
 }
 
 void Resource::complete() {
@@ -28,9 +29,13 @@ void Resource::complete() {
   ++jobs_;
   busy_ = false;
   // The next job's completion is scheduled before this job's continuation
-  // runs, so take the continuation out of the slot start_next refills.
+  // runs, so take the continuation out of the slot start() refills.
   EventFn done = std::move(in_service_done_);
-  if (!queue_.empty()) start_next();
+  if (!queue_.empty()) {
+    Job& next = queue_.front();
+    start(next.service, std::move(next.done));
+    queue_.pop_front();
+  }
   done();
 }
 

@@ -41,10 +41,25 @@ void Scheduler::sift_down(std::size_t i) {
   h[i] = key;
 }
 
+void Scheduler::grow() {
+  L2S_REQUIRE(capacity_ < (std::uint32_t{1} << kSlotBits));
+  const auto chunk =
+      static_cast<unsigned>(std::bit_width(capacity_ + kFirstChunk)) - 1 - kFirstChunkBits;
+  // The last chunk stops where slot ids stop fitting the heap key.
+  const std::uint32_t size =
+      std::min(kFirstChunk << chunk, (std::uint32_t{1} << kSlotBits) - capacity_);
+  auto fresh = std::make_unique<EventFn[]>(size);
+  free_slots_.reserve(std::size_t{capacity_} + size);
+  chunks_[chunk] = std::move(fresh);
+  capacity_ += size;
+}
+
 void Scheduler::reset() {
+  L2S_REQUIRE(running_ == 0);
+  for (std::uint32_t slot = 0; slot < used_; ++slot) slot_at(slot) = nullptr;
   heap_.clear();
-  slots_.clear();
   free_slots_.clear();
+  used_ = 0;
   now_ = 0;
   next_seq_ = 0;
   processed_ = 0;

@@ -1,6 +1,7 @@
 #include "l2sim/policy/l2s.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "l2sim/common/error.hpp"
 
@@ -14,6 +15,7 @@ L2sPolicy::L2sPolicy(L2sParams params) : params_(params) {
   L2S_REQUIRE(params_.overload_threshold > params_.underload_threshold);
   L2S_REQUIRE(params_.underload_threshold > 0);
   L2S_REQUIRE(params_.broadcast_delta > 0);
+  L2S_REQUIRE(std::isfinite(params_.set_shrink_seconds) && params_.set_shrink_seconds >= 0.0);
   shrink_ns_ = seconds_to_simtime(params_.set_shrink_seconds);
 }
 
@@ -22,10 +24,9 @@ void L2sPolicy::attach(const ClusterContext& ctx) {
   states_.clear();
   all_nodes_.clear();
   for (int n = 0; n < ctx.node_count(); ++n) {
-    auto st = std::make_unique<NodeState>();
-    st->view = cluster::LoadView(ctx.node_count());
-    st->throttle = cluster::BroadcastThrottle(params_.broadcast_delta);
-    states_.push_back(std::move(st));
+    NodeState& st = states_.emplace_back();
+    st.view = cluster::LoadView(ctx.node_count());
+    st.throttle = cluster::BroadcastThrottle(params_.broadcast_delta);
     all_nodes_.push_back(n);
   }
 }
@@ -213,12 +214,11 @@ void L2sPolicy::maybe_broadcast_load(int node) {
 
 void L2sPolicy::broadcast_set_change(int origin, storage::FileId file) {
   counters_.add("locality_broadcasts");
-  // Ship the new membership by value: one copy travels with the
-  // broadcast, and each receiver adopts its own copy on delivery.
-  std::vector<int> members = state(origin).sets.members(file);
+  // The new membership is immutable: every receiver adopts the origin's
+  // own list on delivery, and a later change anywhere builds a new one.
   ctx_.via->broadcast(origin, ctx_.control_msg_bytes,
-                      [this, file, members = std::move(members)](int dst) {
-                        state(dst).sets.replace(file, members, ctx_.sched->now());
+                      [this, file, members = state(origin).sets.shared_members(file)](int dst) {
+                        state(dst).sets.adopt(file, members, ctx_.sched->now());
                       });
 }
 

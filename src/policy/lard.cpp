@@ -1,5 +1,7 @@
 #include "l2sim/policy/lard.hpp"
 
+#include <cmath>
+
 #include "l2sim/common/error.hpp"
 
 namespace {
@@ -11,6 +13,7 @@ namespace l2s::policy {
 LardPolicy::LardPolicy(LardParams params) : params_(params) {
   L2S_REQUIRE(params_.t_low > 0 && params_.t_high > params_.t_low);
   L2S_REQUIRE(params_.update_batch > 0);
+  L2S_REQUIRE(std::isfinite(params_.set_shrink_seconds) && params_.set_shrink_seconds >= 0.0);
   shrink_ns_ = seconds_to_simtime(params_.set_shrink_seconds);
 }
 

@@ -1,5 +1,7 @@
 #include "l2sim/policy/lard_dispatcher.hpp"
 
+#include <cmath>
+
 #include "l2sim/common/error.hpp"
 
 namespace l2s::policy {
@@ -10,6 +12,7 @@ constexpr double kDecisionSeconds = 2e-5;  // table lookup + reply, 20 us
 
 LardDispatcherPolicy::LardDispatcherPolicy(LardParams params) : params_(params) {
   L2S_REQUIRE(params_.t_low > 0 && params_.t_high > params_.t_low);
+  L2S_REQUIRE(std::isfinite(params_.set_shrink_seconds) && params_.set_shrink_seconds >= 0.0);
   shrink_ns_ = seconds_to_simtime(params_.set_shrink_seconds);
   decision_time_ = seconds_to_simtime(kDecisionSeconds);
 }

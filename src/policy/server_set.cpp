@@ -6,9 +6,9 @@ namespace l2s::policy {
 
 const std::vector<int> ServerSetMap::kEmpty{};
 
-const std::vector<int>& ServerSetMap::members(storage::FileId file) const {
-  const auto it = sets_.find(file);
-  return it == sets_.end() ? kEmpty : it->second.nodes;
+ServerSetMap::Entry& ServerSetMap::entry_for(storage::FileId file) {
+  if (file >= entries_.size()) entries_.resize(std::size_t{file} + 1);
+  return entries_[file];
 }
 
 bool ServerSetMap::contains(storage::FileId file, int node) const {
@@ -17,37 +17,34 @@ bool ServerSetMap::contains(storage::FileId file, int node) const {
 }
 
 void ServerSetMap::add(storage::FileId file, int node, SimTime now) {
-  auto& entry = sets_[file];
-  if (std::find(entry.nodes.begin(), entry.nodes.end(), node) != entry.nodes.end()) return;
-  entry.nodes.push_back(node);
+  if (contains(file, node)) return;
+  const auto& old = members(file);
+  auto next = std::make_shared<std::vector<int>>();
+  next->reserve(old.size() + 1);
+  next->assign(old.begin(), old.end());
+  next->push_back(node);
+  Entry& entry = entry_for(file);
+  entry.nodes = std::move(next);
   entry.modified = now;
 }
 
 void ServerSetMap::remove(storage::FileId file, int node, SimTime now) {
-  const auto it = sets_.find(file);
-  if (it == sets_.end()) return;
-  auto& nodes = it->second.nodes;
-  const auto pos = std::find(nodes.begin(), nodes.end(), node);
-  if (pos == nodes.end()) return;
-  nodes.erase(pos);
-  it->second.modified = now;
-}
-
-void ServerSetMap::replace(storage::FileId file, std::vector<int> nodes, SimTime now) {
-  auto& entry = sets_[file];
-  entry.nodes = std::move(nodes);
+  const auto& old = members(file);
+  const auto pos = std::find(old.begin(), old.end(), node);
+  if (pos == old.end()) return;
+  auto next = std::make_shared<std::vector<int>>();
+  next->reserve(old.size() - 1);
+  next->insert(next->end(), old.begin(), pos);
+  next->insert(next->end(), pos + 1, old.end());
+  Entry& entry = entries_[file];
+  entry.nodes = std::move(next);
   entry.modified = now;
 }
 
-SimTime ServerSetMap::last_modified(storage::FileId file) const {
-  const auto it = sets_.find(file);
-  return it == sets_.end() ? 0 : it->second.modified;
-}
-
-std::size_t ServerSetMap::total_members() const {
-  std::size_t total = 0;
-  for (const auto& [file, entry] : sets_) total += entry.nodes.size();
-  return total;
+void ServerSetMap::adopt(storage::FileId file, Members members, SimTime now) {
+  Entry& entry = entry_for(file);
+  entry.nodes = std::move(members);
+  entry.modified = now;
 }
 
 }  // namespace l2s::policy

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "l2sim/common/cli_args.hpp"
 #include "l2sim/common/error.hpp"
 #include "l2sim/core/spec.hpp"
@@ -70,6 +73,44 @@ TEST(CliArgs, NegativeNumbersAsValues) {
 TEST(CliArgs, LastOccurrenceWins) {
   const auto a = parse({"--nodes", "4", "--nodes", "8"});
   EXPECT_EQ(a.get_int("nodes", 0), 8);
+}
+
+// A lenient parser (atoi/atof) accepts every row: it drops a trailing
+// suffix, lets NaN reach the simulator, wraps past int and reads an empty
+// value as 0.
+TEST(CliArgs, NumericFlagsParseStrictly) {
+  struct Row {
+    std::vector<const char*> argv;
+    const char* flag;
+    bool integer;
+  };
+  const std::vector<Row> rows = {
+      {{"--nodes", "4x"}, "nodes", true},
+      {{"--scale", "0.01abc"}, "scale", false},
+      {{"--shrink", "nan"}, "shrink", false},
+      {{"--nodes", "4294967297"}, "nodes", true},  // fits int64, not int
+      {{"--nodes"}, "nodes", true},                // no value at all
+  };
+  for (const auto& row : rows) {
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), row.argv.begin(), row.argv.end());
+    const CliArgs a(static_cast<int>(argv.size()), argv.data(), 1);
+    try {
+      if (row.integer) {
+        (void)a.get_int(row.flag, 0);
+      } else {
+        (void)a.get_double(row.flag, 0.0);
+      }
+      ADD_FAILURE() << "accepted --" << row.flag << " " << (row.argv.size() > 1 ? row.argv[1] : "");
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + row.flag), std::string::npos)
+          << e.what();
+    }
+  }
+  // Whole numbers in range still parse, signs and exponents included.
+  const auto ok = parse({"--nodes", "-2147483648", "--scale", "1e-2"});
+  EXPECT_EQ(ok.get_int("nodes", 0), -2147483647 - 1);
+  EXPECT_DOUBLE_EQ(ok.get_double("scale", 0.0), 0.01);
 }
 
 TEST(OverloadCli, FlashArrivalAndChaosSeed) {

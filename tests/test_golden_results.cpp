@@ -19,6 +19,7 @@
 
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/parallel.hpp"
+#include "l2sim/core/simulation.hpp"
 #include "l2sim/obs/decision.hpp"
 #include "l2sim/telemetry/registry.hpp"
 #include "l2sim/trace/synthetic.hpp"
@@ -225,6 +226,56 @@ TEST(GoldenResults, FlightRecorderDoesNotPerturbDigests) {
     EXPECT_EQ(digest_hex(r), kGolden[i].second) << kGolden[i].first;
     ASSERT_NE(r.decisions, nullptr) << kGolden[i].first;
     EXPECT_GT(r.decisions->recorded, 0u) << kGolden[i].first;
+  }
+}
+
+// The matrix above runs 4 nodes, where a server set rarely holds more than
+// one member. These cells pin the policies where sets replicate across
+// many nodes: L2S on 64 nodes with a crash and a recovery (set growth,
+// shrink, and the recovered node's blank replica), and LARD on 32 nodes,
+// both on a 1% Calgary stream. Recorded while each replica still held its
+// own copy of every member list, before they became shared.
+struct LargeCell {
+  std::string name;
+  PolicyKind kind;
+  int nodes;
+  std::string digest;
+};
+
+const std::vector<LargeCell> kLargeGolden = {
+    {"l2s|calgary|64|crash-recover", PolicyKind::kL2s, 64, "9b53d7f745a7b824"},
+    {"lard|calgary|32", PolicyKind::kLard, 32, "27c768dc3ae35ea7"},
+};
+
+TEST(GoldenResults, LargeClustersMatchRecordedDigests) {
+  constexpr double kScale = 0.01;
+  auto spec = trace::paper_trace_spec("calgary");
+  spec.requests = static_cast<std::uint64_t>(static_cast<double>(spec.requests) * kScale);
+  const auto tr = trace::generate(spec);
+  const bool print = std::getenv("L2SIM_GOLDEN_PRINT") != nullptr;
+
+  for (const auto& c : kLargeGolden) {
+    SimConfig cfg;
+    cfg.nodes = c.nodes;
+    if (c.kind == PolicyKind::kL2s) {
+      cfg.fault_plan.crashes.push_back({7, 0.2});
+      cfg.fault_plan.recoveries.push_back({7, 0.4});
+    }
+    // The CLI's set-decay window K for a scaled trace.
+    ClusterSimulation sim(cfg, tr, make_policy(c.kind, 20.0 * kScale));
+    const auto r = sim.run();
+    if (print) {
+      std::printf("GOLDEN    {\"%s\", \"%s\"},\n", c.name.c_str(), digest_hex(r).c_str());
+      continue;
+    }
+    EXPECT_EQ(digest_hex(r), c.digest) << c.name;
+    // The cell must exercise what it is here to pin.
+    const auto& counters = sim.policy().counters();
+    EXPECT_GT(counters.get("set_grow"), 0u) << c.name;
+    EXPECT_GT(counters.get("set_shrink"), 0u) << c.name;
+    if (c.kind == PolicyKind::kL2s) {
+      EXPECT_GT(r.time_to_recover_ms, 0.0) << c.name;
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "l2sim/policy/l2s.hpp"
 #include "policy_fixture.hpp"
@@ -174,6 +176,12 @@ TEST(L2sPolicy, RejectsBadParams) {
   bad = L2sParams{};
   bad.broadcast_delta = 0;
   EXPECT_THROW(L2sPolicy{bad}, l2s::Error);
+  // The set-decay window must convert to a SimTime.
+  for (const double shrink : {std::nan(""), std::numeric_limits<double>::infinity(), -1.0}) {
+    bad = L2sParams{};
+    bad.set_shrink_seconds = shrink;
+    EXPECT_THROW(L2sPolicy{bad}, l2s::Error) << shrink;
+  }
 }
 
 TEST(L2sPolicy, OptimisticViewBumpOnForward) {

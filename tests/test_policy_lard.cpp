@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "l2sim/policy/lard.hpp"
+#include "l2sim/policy/lard_dispatcher.hpp"
 #include "policy_fixture.hpp"
 
 namespace l2s::policy {
@@ -107,6 +111,13 @@ TEST(LardPolicy, RejectsBadParams) {
   bad = LardParams{};
   bad.update_batch = 0;
   EXPECT_THROW(LardPolicy{bad}, l2s::Error);
+  // K must convert to a SimTime, for the front-end and the dispatcher.
+  for (const double shrink : {std::nan(""), std::numeric_limits<double>::infinity(), -1.0}) {
+    bad = LardParams{};
+    bad.set_shrink_seconds = shrink;
+    EXPECT_THROW(LardPolicy{bad}, l2s::Error) << shrink;
+    EXPECT_THROW(LardDispatcherPolicy{bad}, l2s::Error) << shrink;
+  }
 }
 
 }  // namespace

@@ -20,6 +20,29 @@ TEST(Resource, ServesFifo) {
   EXPECT_EQ(s.now(), 30);
 }
 
+// An idle submit schedules its completion at once; a queued one when its
+// predecessor completes. An event scheduled in between shows the two.
+TEST(Resource, IdleAndQueuedSubmitsFireInSubmissionOrder) {
+  Scheduler s;
+  Resource r(s, "cpu");
+  std::vector<char> order;
+  r.submit(0, [&] { order.push_back('A'); });  // idle: starts now
+  r.submit(0, [&] { order.push_back('B'); });  // queued behind A
+  s.at(0, [&] {
+    order.push_back('X');
+    r.submit(0, [&] { order.push_back('C'); });  // queued behind B
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'X', 'B', 'C'}));
+  // Drained: the next submit starts at once again.
+  r.submit(0, [&] { order.push_back('D'); });
+  EXPECT_TRUE(r.busy());
+  EXPECT_EQ(r.queue_length(), 0u);
+  s.run();
+  EXPECT_EQ(order.back(), 'D');
+  EXPECT_EQ(r.jobs_completed(), 4u);
+}
+
 TEST(Resource, QueueingDelaysLaterJobs) {
   Scheduler s;
   Resource r(s, "disk");

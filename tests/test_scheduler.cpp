@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "l2sim/common/error.hpp"
@@ -196,6 +198,96 @@ TEST(Scheduler, RandomScheduleMatchesSortedReference) {
       ASSERT_EQ(fired[i], expected[i].second) << "trial " << trial << " pos " << i;
     EXPECT_EQ(s.events_processed(), expected.size());
   }
+}
+
+// An EventFn is scheduled by moving it in explicitly; an lvalue one does
+// not compile, so it is never moved from behind the caller's back.
+template <typename F>
+constexpr bool kSchedulable =
+    requires(Scheduler& s, F&& f) { s.at(SimTime{0}, std::forward<F>(f)); };
+static_assert(kSchedulable<EventFn>);
+static_assert(!kSchedulable<EventFn&>);
+static_assert(kSchedulable<void (*)()>);
+
+TEST(Scheduler, EventFnIsScheduledByMove) {
+  Scheduler s;
+  int fired = 0;
+  EventFn ev = [&fired] { ++fired; };
+  s.after(3, std::move(ev));
+  EXPECT_FALSE(ev);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), 3);
+}
+
+// The running handler sits in its slot while it schedules; enough events
+// to add several slot chunks must leave its captures intact.
+TEST(Scheduler, HandlerGrowingThePoolKeepsItsCaptures) {
+  Scheduler s;
+  std::uint64_t seen = 0;
+  int children = 0;
+  const std::uint64_t a = 0x1111, b = 0x2222, c = 0x3333;
+  auto grow = [&s, &seen, &children, a, b, c] {  // 48 bytes: stored inline
+    for (int i = 0; i < 20000; ++i) s.after(i % 7, [&children] { ++children; });
+    seen = a + b + c;
+  };
+  static_assert(sizeof(grow) == InlineEvent::kInlineSize);
+  s.at(1, grow);
+  s.run();
+  EXPECT_EQ(seen, 0x6666u);
+  EXPECT_EQ(children, 20000);
+  EXPECT_EQ(s.pending(), 0u);
+
+  // Same for a callable spilled to the arena.
+  std::array<std::uint64_t, 12> big{};
+  big.fill(5);
+  std::uint64_t sum = 0;
+  s.after(1, [&s, &sum, &children, big] {
+    for (int i = 0; i < 20000; ++i) s.after(1, [&children] { ++children; });
+    for (const auto v : big) sum += v;
+  });
+  s.run();
+  EXPECT_EQ(sum, 60u);
+  EXPECT_EQ(children, 40000);
+}
+
+TEST(Scheduler, ThrowingHandlerReleasesItsSlot) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  int later = 0;
+  s.at(1, [token] { throw std::runtime_error("handler failed"); });
+  s.at(2, [&later] { ++later; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(s.run(), std::runtime_error);
+  // The throwing callable is destroyed and only the later event remains.
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(s.now(), 1);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.events_processed(), 1u);
+  s.run();
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(s.pending(), 0u);
+  // Later runs reuse the pool normally.
+  for (int i = 0; i < 100; ++i) s.after(i, [&later] { ++later; });
+  EXPECT_EQ(s.pending(), 100u);
+  s.run();
+  EXPECT_EQ(later, 101);
+}
+
+TEST(Scheduler, ResetInsideHandlerIsRejected) {
+  Scheduler s;
+  int after_reset = 0;
+  s.at(1, [&s] { s.reset(); });
+  s.at(2, [&after_reset] { ++after_reset; });
+  EXPECT_THROW(s.run(), l2s::Error);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(after_reset, 1);
+  // Outside a handler, reset() still works.
+  s.at(5, [] {});
+  s.reset();
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.now(), 0);
 }
 
 TEST(Scheduler, ZeroDelaySelfScheduleRunsAtSameTime) {

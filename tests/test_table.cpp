@@ -80,6 +80,8 @@ TEST(Env, DoubleFallback) {
   EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
   ::setenv("L2SIM_TEST_D", "1e999", 1);  // overflows a double
   EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
+  ::setenv("L2SIM_TEST_D", "nan", 1);
+  EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
   ::unsetenv("L2SIM_TEST_D");
 }
 

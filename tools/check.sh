@@ -24,25 +24,14 @@
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#   9. AddressSanitizer build, running the fault-injection suites
-#      (`ctest -L fault`) — the crash/retry/epoch machinery is where
-#      lifetime bugs would hide — the telemetry suites (`-L telemetry`:
-#      the span ring and exporter buffers), the flight-recorder suites
-#      (`-L obs`: decision ring wrap, diff replays, exporter buffers), the
-#      topology suites (`-L topo`: interconnect geometry, flow-level
-#      transfers, the rack/fat-tree golden axis), the large-N suite
-#      (`-L largen`), the chaos-harness suite (`-L chaos`: overload
-#      defenses + non-stationary arrivals + faults composed), and the
-#      analytic-model suites (`-L model`: Che fixed points, transient
-#      curves, the hierarchical solver and the planner); plus, from the
-#      main test binary, the VIA, resource, scheduler, golden-digest,
-#      determinism and zero-spill suites — continuations live in resource
-#      slots and pooled VIA message records, so their lifetimes are checked
-#      too
-#  10. ThreadSanitizer build, running the scheduler/event-kernel, thread
-#      budget, run_parallel (including per-job telemetry + merge) and
-#      fault-determinism tests, plus the fault, telemetry, obs, topo,
-#      largen and chaos labels
+#   9. AddressSanitizer build (build-asan/): all eight test binaries, and
+#      ctest runs every registered test once. Continuations live in
+#      scheduler slots, resource slots and pooled VIA message records, and
+#      replicas share server-set lists, so a lifetime bug could surface in
+#      any suite
+#  10. ThreadSanitizer build (build-tsan/): the same full suite, once
+#      (run_parallel, the thread budget and the per-job telemetry merge are
+#      the threaded code)
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-bench]
 set -euo pipefail
@@ -93,26 +82,23 @@ if [[ "$skip_bench" -eq 0 ]]; then
   ./build/bench/planner_study
 fi
 
+# Each sanitizer block runs the whole suite once, unfiltered. (ctest 3.25
+# reads the argument after a bare `-j` as the job count, which used to drop
+# every -R/-L filter here and ran the suite twice per sanitizer.)
+tests="l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests"
+
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites, message path =="
+  echo "== AddressSanitizer: every test =="
   cmake -B build-asan -S . -DL2SIM_SANITIZE=address >/dev/null
-  cmake --build build-asan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
-  ctest --test-dir build-asan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos|model'
-  ctest --test-dir build-asan --output-on-failure -j \
-    -R 'Via|Resource|Scheduler|GoldenResults|Determinism|SpillFree'
+  cmake --build build-asan -j "$(nproc)" --target $tests
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
-  echo "== ThreadSanitizer: scheduler + parallel + fault + telemetry + obs + topo + chaos tests =="
+  echo "== ThreadSanitizer: every test =="
   cmake -B build-tsan -S . -DL2SIM_SANITIZE=thread >/dev/null
-  # Every test binary, l2sim_model_tests included: ctest before 3.29 takes
-  # the argument after a bare `-j` as its job count, so it drops the -R/-L
-  # filter below and runs every registered test, and an unbuilt binary
-  # fails as <name>_NOT_BUILT.
-  cmake --build build-tsan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
-  ctest --test-dir build-tsan --output-on-failure -j \
-    -R 'Scheduler|ThreadBudget|Parallel|Determinism'
-  ctest --test-dir build-tsan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos'
+  cmake --build build-tsan -j "$(nproc)" --target $tests
+  ctest --test-dir build-tsan --output-on-failure -j "$(nproc)"
 fi
 
 echo "check.sh: all green"
