@@ -1,9 +1,10 @@
 // Flight-recorder overhead gates.
 //
-// The recorder rides the same lifecycle fan-out telemetry does, schedules
-// nothing and draws no randomness — so its cost must be a small constant
-// per decision. Two modes run interleaved (paired wall clock per rep, so
-// transient machine noise cannot charge one mode more than another):
+// The recorder is a sink on the same lifecycle event stream telemetry is,
+// schedules nothing and draws no randomness — so its cost must be a small
+// constant per decision. Two modes run interleaved (paired wall clock per
+// rep, so transient machine noise cannot charge one mode more than
+// another; bench/overhead_timing.hpp):
 //
 //   off        obs disabled — the null-object path the golden digests pin.
 //   ring       obs.enabled with the default 16K-record ring: the
@@ -30,34 +31,19 @@
 // regressions as errors. The gate carries a small absolute floor so a
 // microscopic trace under L2SIM_SCALE cannot fail on scheduler jitter.
 #include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "l2sim/l2sim.hpp"
+#include "overhead_timing.hpp"
 
 using namespace l2s;
+using benchtiming::Mode;
+using benchtiming::run_seconds;
 
 namespace {
-
-struct Mode {
-  std::string name;
-  std::function<void(core::SimConfig&)> apply;
-};
-
-double run_seconds(const trace::Trace& tr, const core::SimConfig& cfg,
-                   std::uint64_t* recorded = nullptr) {
-  core::ClusterSimulation sim(cfg, tr, std::make_unique<policy::L2sPolicy>());
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto r = sim.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (r.completed == 0) throw_error("obs_bench: run completed nothing");
-  if (recorded != nullptr && r.decisions != nullptr) *recorded = r.decisions->recorded;
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 struct Attempt {
   std::vector<double> best;    // per mode, min over reps
@@ -68,17 +54,7 @@ struct Attempt {
 
 Attempt run_attempt(const trace::Trace& tr, const core::SimConfig& base,
                     const std::vector<Mode>& modes, int reps) {
-  // Alternate the sweep direction every rep so slow machine drift (thermal,
-  // frequency, noisy neighbors) charges each mode symmetrically.
-  std::vector<std::vector<double>> secs(modes.size());
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      const std::size_t m = (rep % 2 == 0) ? i : modes.size() - 1 - i;
-      core::SimConfig cfg = base;
-      modes[m].apply(cfg);
-      secs[m].push_back(run_seconds(tr, cfg));
-    }
-  }
+  const auto secs = benchtiming::interleave(tr, base, modes, reps);
   Attempt a;
   a.best.assign(modes.size(), 1e300);
   for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -145,7 +121,9 @@ int main(int argc, char** argv) {
   {
     core::SimConfig cfg = base;
     modes[1].apply(cfg);
-    (void)run_seconds(tr, cfg, &recorded);
+    core::SimResult warm;
+    (void)run_seconds(tr, cfg, &warm);
+    if (warm.decisions != nullptr) recorded = warm.decisions->recorded;
   }
   std::cout << "decision records per run: " << recorded << "\n\n";
 

@@ -1,12 +1,13 @@
 // Telemetry overhead gates.
 //
-// The telemetry subsystem rides the engine's lifecycle fan-out, so its cost
-// must be invisible when it is off and small when it is on. Four modes run
-// interleaved (min-of-N wall clock per mode, so transient machine noise
-// cannot charge one mode more than another):
+// The telemetry subsystem is a sink on the engine's lifecycle event
+// stream, so its cost must be invisible when it is off and small when it
+// is on. Four modes run interleaved (min-of-N wall clock per mode, so
+// transient machine noise cannot charge one mode more than another;
+// bench/overhead_timing.hpp):
 //
 //   off      telemetry.enabled = false — the null-object path; the only
-//            residual cost is the observer fan-out emit points themselves,
+//            residual cost is the event stream's emit points themselves,
 //            which are part of the baseline by construction.
 //   counters telemetry on, probe off, span sampling off: registry counter
 //            and histogram bumps only. Gate: <= 1% over `off`.
@@ -26,34 +27,17 @@
 // carry a small absolute floor so a microscopic trace under L2SIM_SCALE
 // cannot fail on scheduler jitter.
 #include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "l2sim/l2sim.hpp"
+#include "overhead_timing.hpp"
 
 using namespace l2s;
-
-namespace {
-
-struct Mode {
-  std::string name;
-  std::function<void(core::SimConfig&)> apply;
-};
-
-double run_seconds(const trace::Trace& tr, const core::SimConfig& cfg) {
-  core::ClusterSimulation sim(cfg, tr, std::make_unique<policy::L2sPolicy>());
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto r = sim.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (r.completed == 0) throw_error("telemetry_bench: run completed nothing");
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-}  // namespace
+using benchtiming::Mode;
+using benchtiming::run_seconds;
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_telemetry.json";
@@ -123,18 +107,9 @@ int main(int argc, char** argv) {
   std::vector<double> best;
   int attempts_run = 0;
   for (int att = 0; att < kAttempts; ++att) {
-    std::vector<double> cur(modes.size(), 1e300);
-    for (int rep = 0; rep < reps; ++rep) {
-      for (std::size_t i = 0; i < modes.size(); ++i) {
-        // Alternate the sweep direction every rep so slow machine drift
-        // charges each mode symmetrically.
-        const std::size_t m = (rep % 2 == 0) ? i : modes.size() - 1 - i;
-        core::SimConfig cfg = base;
-        modes[m].apply(cfg);
-        const double s = run_seconds(tr, cfg);
-        if (s < cur[m]) cur[m] = s;
-      }
-    }
+    std::vector<double> cur;
+    for (const auto& secs : benchtiming::interleave(tr, base, modes, reps))
+      cur.push_back(*std::min_element(secs.begin(), secs.end()));
     ++attempts_run;
     std::cout << "attempt " << attempts_run << ": counters "
               << format_double(cur[1] / cur[0], 4) << "  span64 "

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace l2s {
@@ -23,6 +24,13 @@ class CliArgs {
   /// trailing characters, no NaN, no overflow; get_int: fits an int).
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
+  /// A comma-separated list ("4,8,16"), every item parsed like get_double /
+  /// get_int; an empty item is an error. Empty when the flag is absent.
+  [[nodiscard]] std::vector<double> get_double_list(const std::string& key) const;
+  [[nodiscard]] std::vector<int> get_int_list(const std::string& key) const;
+  /// An INT@NUMBER pair such as `--fail NODE@SECONDS`, both halves strict.
+  /// The flag must be present.
+  [[nodiscard]] std::pair<int, double> get_int_at_double(const std::string& key) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
  private:

@@ -142,9 +142,10 @@ struct OverloadConfig {
   ///     replicating and migrating — locality is sacrificed for cycles;
   ///   level 2 (shed service): every other open-loop arrival is shed at
   ///     admission on top of the level-1 measures.
-  /// Transitions are signalled to the policy (Policy::on_brownout) and the
-  /// LifecycleObserver fan-out. Hysteresis: a level drops only once the
-  /// delay falls below half the threshold that raised it.
+  /// Transitions are signalled to the policy (Policy::on_brownout) and
+  /// emitted as `brownout` records on the lifecycle event stream.
+  /// Hysteresis: a level drops only once the delay falls below half the
+  /// threshold that raised it.
   bool brownout = false;
   double brownout_forward_delay_seconds = 0.05;  ///< level-1 threshold
   double brownout_service_delay_seconds = 0.15;  ///< level-2 threshold

@@ -47,7 +47,7 @@ class AdmissionController {
 
   /// The overload shedder turned an open-loop arrival away before it could
   /// occupy a slot: consume its request from the trace and count it under
-  /// FailureKind::kShed (the deliberate-drop bucket, distinct from the
+  /// SimResult::failed_shed (the deliberate-drop bucket, distinct from the
   /// buffer-overflow reject above).
   void shed_arrival();
 

@@ -61,8 +61,9 @@ struct EngineContext {
   /// Overload defenses (admission shedding, retry budget, brownout); always
   /// wired, inert unless SimConfig::overload enables a defense.
   OverloadController* overload = nullptr;
-  /// All lifecycle events go through this fan-out (metrics, availability).
-  LifecycleFanout* observers = nullptr;
+  /// The sinks every lifecycle event reaches, in registration order
+  /// (metrics and availability, then telemetry, then the flight recorder).
+  std::vector<LifecycleObserver*> sinks;
 
   /// False during the warm-up pass, true for the measured pass. Warm-up is
   /// the paper's cache-warming protocol — nominal stationary load, no
@@ -78,13 +79,15 @@ struct EngineContext {
   }
   [[nodiscard]] bool node_alive(int id) const { return node(id).alive(); }
 
-  /// Publish one engine decision through the observer fan-out. Stamps the
-  /// current simulated time and pass; pure notification — the fan-out's
-  /// listeners are passive, so calling this never perturbs the event
-  /// stream (which is what lets the flight recorder stay digest-inert).
+  /// Emit one lifecycle event to every sink: the engine's only emit call.
+  /// Stamps the current simulated time and pass. `conn` is the request's
+  /// connection for kComplete, kFailure and kClose. Pure notification —
+  /// sinks are passive, so calling this never perturbs the event stream
+  /// (which is what keeps metrics, telemetry and the recorder digest-inert).
   void note_decision(obs::DecisionKind kind, obs::DecisionCause cause,
                      std::uint64_t request, int node, int target = -1,
-                     std::uint32_t attempt = 0, std::int64_t detail = 0) const {
+                     std::uint32_t attempt = 0, std::int64_t detail = 0,
+                     const cluster::Connection* conn = nullptr) const {
     obs::DecisionRecord rec;
     rec.time = now();
     rec.request = request;
@@ -95,7 +98,7 @@ struct EngineContext {
     rec.kind = kind;
     rec.cause = cause;
     rec.pass = measured_pass ? 1 : 0;
-    observers->on_decision(rec);
+    for (LifecycleObserver* sink : sinks) sink->on_event(rec, conn);
   }
 };
 

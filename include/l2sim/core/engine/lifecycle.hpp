@@ -1,13 +1,13 @@
 // Request-lifecycle vocabulary shared by the engine components: the
-// connection state machine (cluster::ConnectionState), the failure
-// buckets, the attempt-staleness guard, and the LifecycleObserver fan-out
-// through which the engine publishes every lifecycle event without
-// knowing who listens (metrics, availability tracking, timelines).
+// connection state machine (cluster::ConnectionState), the
+// attempt-staleness guard, and the LifecycleObserver interface through
+// which the engine publishes every lifecycle event, as one decision
+// record, without knowing who listens (metrics, availability tracking,
+// telemetry, the flight recorder).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "l2sim/cluster/connection.hpp"
 #include "l2sim/common/units.hpp"
@@ -18,14 +18,6 @@ namespace l2s::core::engine {
 using cluster::ConnectionState;
 using ConnPtr = std::shared_ptr<cluster::Connection>;
 
-/// Why a request finally failed — one per SimResult failure bucket.
-enum class FailureKind {
-  kDeadline,          ///< the per-request deadline expired
-  kRetriesExhausted,  ///< every attempt died (includes fail-fast aborts)
-  kRejected,          ///< open-loop arrival found the admission buffers full
-  kShed,              ///< the overload shedder turned the arrival away
-};
-
 /// A callback belongs to a superseded attempt (or a finished request).
 /// Every event the engine schedules on behalf of an attempt captures the
 /// attempt id and checks this first; kDone is absorbing.
@@ -33,103 +25,26 @@ enum class FailureKind {
   return conn->state == ConnectionState::kDone || conn->attempt != att;
 }
 
-/// Passive taps on the request lifecycle and the fault timeline. Handlers
-/// must not schedule events or mutate engine state: observers exist so
-/// that statistics, availability tracking and CSV emission stay out of the
-/// simulation path — and adding one can never perturb event order.
+/// A sink on the engine's lifecycle event stream. Every lifecycle event
+/// (dispatch, completion, failure, connection close, retry, hedge, shed,
+/// brownout, migration, remote fetch, the fault timeline, ...) reaches the
+/// sinks once, as one obs::DecisionRecord emitted by
+/// EngineContext::note_decision. Handlers must not schedule events or
+/// mutate engine state: sinks exist so that statistics, availability
+/// tracking, telemetry and the flight recorder stay out of the simulation
+/// path, and adding one can never perturb event order.
 class LifecycleObserver {
  public:
   virtual ~LifecycleObserver() = default;
 
-  // Request lifecycle.
-  virtual void on_request_completed(const cluster::Connection& /*conn*/, SimTime /*now*/) {}
-  virtual void on_connection_closed(const cluster::Connection& /*conn*/) {}
-  /// `conn` is null for admission rejects (the request never materialized a
-  /// connection); non-null for deadline / retries-exhausted failures.
-  virtual void on_request_failed(const cluster::Connection* /*conn*/, FailureKind /*kind*/,
-                                 SimTime /*now*/) {}
-  virtual void on_retry_scheduled(SimTime /*now*/) {}
-  /// A hedged (speculative backup) attempt was dispatched for a request.
-  virtual void on_hedge(SimTime /*now*/) {}
-  /// The overload controller changed the brownout level (0 = healthy,
-  /// 1 = shed forwarding, 2 = shed service).
-  virtual void on_brownout(int /*level*/, SimTime /*now*/) {}
-  virtual void on_forward() {}       ///< hand-off or remote fetch left the entry node
-  virtual void on_migration() {}     ///< persistent connection migrated
-  virtual void on_remote_fetch() {}  ///< back-end request forwarding used
+  /// One lifecycle event. `conn` is the request's connection for
+  /// kComplete, kFailure and kClose, and null for every other kind.
+  virtual void on_event(const obs::DecisionRecord& record,
+                        const cluster::Connection* conn) = 0;
   /// The periodic load sampler ticked (MetricsCollector::sample_loads).
   /// Telemetry probes ride this existing event instead of scheduling their
   /// own, so enabling them cannot change the event stream.
   virtual void on_load_sample(SimTime /*now*/) {}
-  /// An engine component made a discrete decision (dispatch target picked,
-  /// arrival shed, brownout transition, retry-budget spend/deny, ...). The
-  /// record is emitted via EngineContext::note_decision at the point the
-  /// decision is taken; the flight recorder and telemetry cause counters
-  /// listen here. Same contract as every other hook: passive only.
-  virtual void on_decision(const obs::DecisionRecord& /*record*/) {}
-
-  // Fault timeline (from the coordinator's fault arming / detection).
-  virtual void on_node_crashed(int /*node*/, SimTime /*at*/) {}
-  virtual void on_node_repaired(int /*node*/, SimTime /*at*/) {}
-  virtual void on_node_detected(int /*node*/, SimTime /*at*/) {}
-  virtual void on_node_readmitted(int /*node*/, SimTime /*at*/) {}
-};
-
-/// Fan-out: the engine talks to exactly one observer, which forwards to
-/// every registered listener in registration order.
-class LifecycleFanout final : public LifecycleObserver {
- public:
-  void add(LifecycleObserver* obs) { observers_.push_back(obs); }
-
-  void on_request_completed(const cluster::Connection& c, SimTime now) override {
-    for (auto* o : observers_) o->on_request_completed(c, now);
-  }
-  void on_connection_closed(const cluster::Connection& c) override {
-    for (auto* o : observers_) o->on_connection_closed(c);
-  }
-  void on_request_failed(const cluster::Connection* conn, FailureKind kind,
-                         SimTime now) override {
-    for (auto* o : observers_) o->on_request_failed(conn, kind, now);
-  }
-  void on_retry_scheduled(SimTime now) override {
-    for (auto* o : observers_) o->on_retry_scheduled(now);
-  }
-  void on_hedge(SimTime now) override {
-    for (auto* o : observers_) o->on_hedge(now);
-  }
-  void on_brownout(int level, SimTime now) override {
-    for (auto* o : observers_) o->on_brownout(level, now);
-  }
-  void on_load_sample(SimTime now) override {
-    for (auto* o : observers_) o->on_load_sample(now);
-  }
-  void on_decision(const obs::DecisionRecord& record) override {
-    for (auto* o : observers_) o->on_decision(record);
-  }
-  void on_forward() override {
-    for (auto* o : observers_) o->on_forward();
-  }
-  void on_migration() override {
-    for (auto* o : observers_) o->on_migration();
-  }
-  void on_remote_fetch() override {
-    for (auto* o : observers_) o->on_remote_fetch();
-  }
-  void on_node_crashed(int node, SimTime at) override {
-    for (auto* o : observers_) o->on_node_crashed(node, at);
-  }
-  void on_node_repaired(int node, SimTime at) override {
-    for (auto* o : observers_) o->on_node_repaired(node, at);
-  }
-  void on_node_detected(int node, SimTime at) override {
-    for (auto* o : observers_) o->on_node_detected(node, at);
-  }
-  void on_node_readmitted(int node, SimTime at) override {
-    for (auto* o : observers_) o->on_node_readmitted(node, at);
-  }
-
- private:
-  std::vector<LifecycleObserver*> observers_;
 };
 
 }  // namespace l2s::core::engine

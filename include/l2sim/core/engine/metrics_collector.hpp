@@ -1,8 +1,8 @@
-// MetricsCollector: the measured-pass statistics of a run, kept entirely
-// behind the LifecycleObserver interface so the engine components carry no
-// counters of their own. Also owns the periodic load sampler (imbalance
-// statistics + optional per-node timeline CSV) and assembles the final
-// SimResult.
+// MetricsCollector: the measured-pass statistics of a run, a fold over the
+// engine's lifecycle event stream (LifecycleObserver::on_event), so the
+// engine components carry no counters of their own. Also owns the periodic
+// load sampler (imbalance statistics + optional per-node timeline CSV) and
+// assembles the final SimResult.
 #pragma once
 
 #include <cstdint>
@@ -33,39 +33,16 @@ class MetricsCollector final : public LifecycleObserver {
   /// Zero every counter and accumulator (end of the warm-up pass).
   void reset();
 
-  /// Assemble the SimResult for the measured pass.
+  /// Assemble the SimResult for the measured pass. Throws l2s::Error when
+  /// the timeline CSV could not be written.
   [[nodiscard]] SimResult collect(SimTime measure_start,
                                   const fault::FailureDetector* detector) const;
 
-  // --- LifecycleObserver --------------------------------------------------
-  void on_request_completed(const cluster::Connection& conn, SimTime now) override;
-  void on_connection_closed(const cluster::Connection& conn) override;
-  void on_request_failed(const cluster::Connection* conn, FailureKind kind,
-                         SimTime now) override;
-  void on_retry_scheduled(SimTime now) override;
-  void on_hedge(SimTime /*now*/) override { ++hedge_attempts_; }
-  void on_brownout(int level, SimTime /*now*/) override {
-    ++brownout_transitions_;
-    brownout_level_ = level;
-  }
-  void on_forward() override { ++forwarded_; }
-  void on_migration() override { ++migrations_; }
-  void on_remote_fetch() override { ++remote_fetches_; }
-  void on_node_crashed(int node, SimTime at) override {
-    availability_.record_crash(node, at);
-  }
-  void on_node_repaired(int node, SimTime at) override {
-    availability_.record_repair(node, at);
-  }
-  void on_node_detected(int node, SimTime at) override {
-    availability_.record_detection(node, at);
-  }
-  void on_node_readmitted(int node, SimTime at) override {
-    availability_.record_readmission(node, at);
-  }
+  void on_event(const obs::DecisionRecord& record, const cluster::Connection* conn) override;
 
  private:
   void sample_loads();
+  void count_failure(std::uint64_t& bucket, SimTime now);
 
   EngineContext& ctx_;
 

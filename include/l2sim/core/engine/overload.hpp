@@ -43,7 +43,7 @@ class OverloadController {
 
   /// Admission decision for one open-loop arrival. False = shed: the
   /// arrival is turned away at the front door and counted under
-  /// FailureKind::kShed. Always true when no admission defense is on.
+  /// SimResult::failed_shed. Always true when no admission defense is on.
   [[nodiscard]] bool admit_arrival();
 
   /// An admitted request entered the cluster: accrue retry budget.
@@ -58,12 +58,12 @@ class OverloadController {
   /// request; cheap no-op unless a delay-driven defense is on.
   void note_completion(const cluster::Connection& conn, SimTime now);
 
-  /// A request failed: deadline/retries-exhausted failures feed the delay
-  /// window (a request that died of old age is the strongest queue signal
-  /// there is — completion-only estimators go blind in a collapse), and
-  /// the AIMD shedder treats them as congestion and shrinks its window (at
-  /// most once per period, the classic TCP rule).
-  void note_failure(const cluster::Connection* conn, FailureKind kind, SimTime now);
+  /// A request failed terminally (deadline or retries exhausted): it feeds
+  /// the delay window (a request that died of old age is the strongest
+  /// queue signal there is — completion-only estimators go blind in a
+  /// collapse), and the AIMD shedder treats it as congestion and shrinks
+  /// its window (at most once per period, the classic TCP rule).
+  void note_failure(const cluster::Connection& conn, SimTime now);
 
   [[nodiscard]] int brownout_level() const { return level_; }
   /// Effective AIMD in-flight cap (meaningful only under kAimd).
@@ -84,7 +84,7 @@ class OverloadController {
   /// closes stale *empty* windows so a 100%-shed latch re-probes instead of
   /// freezing itself on.
   void close_window(SimTime now);
-  void set_brownout_level(int level, SimTime now);
+  void set_brownout_level(int level);
 
   [[nodiscard]] const OverloadConfig& ov() const { return ctx_.cfg().overload; }
 

@@ -48,9 +48,10 @@ class RetryManager {
   /// overload.max_hedges times. No-op when hedging is off.
   void arm_hedge(const ConnPtr& conn);
 
-  /// Final failure: mark kDone, count it under `kind`, free the admission
-  /// slot after `slot_hold` (0 = immediately).
-  void fail_connection(const ConnPtr& conn, FailureKind kind, SimTime slot_hold);
+  /// Final failure: mark kDone, emit a kFailure record with `cause`
+  /// (kDeadlineExpired or kRetriesExhausted), free the admission slot after
+  /// `slot_hold` (0 = immediately).
+  void fail_connection(const ConnPtr& conn, obs::DecisionCause cause, SimTime slot_hold);
 
  private:
   EngineContext& ctx_;

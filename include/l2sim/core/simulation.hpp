@@ -9,7 +9,7 @@
 //   PersistentPath       HTTP/1.1 requests: migration or remote fetch
 //   RetryManager         backoff, attempt timeout, deadline, failure
 //   OverloadController   shedding, retry budget, hedging, brownout
-//   MetricsCollector     every statistic, behind LifecycleObserver
+//   MetricsCollector     every statistic, a fold over the event stream
 //
 // The coordinator owns the simulated hardware (scheduler, nodes, router,
 // interconnect topology, VIA), wires the components through an
@@ -108,7 +108,6 @@ class ClusterSimulation {
   // Engine components (wired through ctx_; declaration order is
   // construction order, so ctx_ comes first).
   engine::EngineContext ctx_;
-  engine::LifecycleFanout fanout_;
   std::unique_ptr<engine::AdmissionController> admission_;
   std::unique_ptr<engine::ArrivalSource> arrival_;
   std::unique_ptr<engine::Dispatcher> dispatcher_;
@@ -119,12 +118,12 @@ class ClusterSimulation {
   /// nothing and touches nothing unless a defense is enabled.
   std::unique_ptr<engine::OverloadController> overload_;
   std::unique_ptr<engine::MetricsCollector> metrics_;
-  /// Observability bridge; only constructed (and registered on the fan-out)
+  /// Observability bridge; only constructed (and registered as a sink)
   /// when config.telemetry.enabled — the disabled path has no telemetry
   /// code at all.
   std::unique_ptr<telemetry::SimTelemetry> telemetry_;
-  /// Flight recorder; only constructed (and registered on the fan-out)
-  /// when config.obs.enabled or a DecisionSink is wired.
+  /// Flight recorder; only constructed (and registered as a sink) when
+  /// config.obs.enabled or a DecisionSink is wired.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   bool ran_ = false;
 };

@@ -1,10 +1,13 @@
-// Decision vocabulary of the flight recorder: every discrete choice the
-// engine makes (dispatch target, admission shed, brownout transition,
-// retry-budget spend/deny, hedge fire, fault suspicion/readmission) is
-// describable as one compact POD DecisionRecord with a kind and a cause
-// code. The records are pure data — emitting one schedules nothing and
-// draws no randomness — so two runs that make the same decisions produce
-// byte-identical record streams, which is what `l2sim diff` compares.
+// The engine's lifecycle event vocabulary: every event of a run (dispatch
+// target, completion, terminal failure, connection close, admission
+// reject or shed, brownout transition, retry, retry-budget deny, hedge,
+// migration, remote fetch and the fault timeline) is one compact POD
+// DecisionRecord with a kind and a cause code. The engine emits each event
+// once (EngineContext::note_decision) and every statistic, the telemetry
+// and the flight recorder are folds over that one stream. The records are
+// pure data — emitting one schedules nothing and draws no randomness — so
+// two runs that make the same decisions produce byte-identical record
+// streams, which is what `l2sim diff` compares.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +18,8 @@
 
 namespace l2s::obs {
 
-/// What kind of engine decision a record describes.
+/// What kind of lifecycle event a record describes. New kinds go at the
+/// end, so existing values and exported names never change.
 enum class DecisionKind : std::uint8_t {
   kDispatch,        ///< dispatcher picked a target (or found none)
   kShed,            ///< overload shedder turned an arrival away
@@ -30,6 +34,9 @@ enum class DecisionKind : std::uint8_t {
   kNodeRepair,      ///< fault plan repaired a node
   kNodeSuspected,   ///< failure detector suspected a node
   kNodeReadmitted,  ///< failure detector readmitted a node
+  kMigrate,         ///< persistent connection handed off (node -> target)
+  kRemoteFetch,     ///< back-end forwarding: node fetched from target
+  kClose,           ///< connection closed (detail = requests it served)
 };
 
 /// Why the decision went the way it did. One flat enum so a record stays

@@ -1,18 +1,15 @@
-// FlightRecorder: the deterministic decision log. A passive
-// LifecycleObserver that turns the engine's explicit decision emissions
-// (dispatch, shed, reject, brownout, retry, budget-deny, hedge — see
-// EngineContext::note_decision) plus the lifecycle events it can derive
-// records from (completion, terminal failure, fault timeline) into a
-// bounded ring of DecisionRecords. It schedules no events, draws no
-// randomness and mutates no engine state, so recording cannot perturb the
-// simulation: golden digests are bit-identical with the recorder on or
-// off (pinned by GoldenResults.FlightRecorderDoesNotPerturbDigests).
+// FlightRecorder: the deterministic decision log. A passive sink on the
+// engine's lifecycle event stream that keeps the records the engine emits
+// (EngineContext::note_decision) in a bounded ring. It schedules no
+// events, draws no randomness and mutates no engine state, so recording
+// cannot perturb the simulation: golden digests are bit-identical with the
+// recorder on or off (pinned by
+// GoldenResults.FlightRecorderDoesNotPerturbDigests).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "l2sim/core/engine/context.hpp"
+#include "l2sim/common/ring.hpp"
 #include "l2sim/core/engine/lifecycle.hpp"
 #include "l2sim/obs/config.hpp"
 #include "l2sim/obs/decision.hpp"
@@ -21,19 +18,9 @@ namespace l2s::obs {
 
 class FlightRecorder final : public core::engine::LifecycleObserver {
  public:
-  FlightRecorder(const core::engine::EngineContext& ctx, const ObsConfig& config);
+  explicit FlightRecorder(const ObsConfig& config);
 
-  // Explicit decision emissions from the engine components.
-  void on_decision(const DecisionRecord& record) override;
-
-  // Derived records: request outcomes and the fault timeline.
-  void on_request_completed(const cluster::Connection& conn, SimTime now) override;
-  void on_request_failed(const cluster::Connection* conn, core::engine::FailureKind kind,
-                         SimTime now) override;
-  void on_node_crashed(int node, SimTime at) override;
-  void on_node_repaired(int node, SimTime at) override;
-  void on_node_detected(int node, SimTime at) override;
-  void on_node_readmitted(int node, SimTime at) override;
+  void on_event(const DecisionRecord& record, const cluster::Connection* conn) override;
 
   /// Drop everything recorded so far (used when the coordinator discards
   /// warm-up history because ObsConfig::include_warmup is off).
@@ -45,16 +32,9 @@ class FlightRecorder final : public core::engine::LifecycleObserver {
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
 
  private:
-  void append(DecisionRecord record);
-  void append_derived(DecisionKind kind, DecisionCause cause, std::uint64_t request,
-                      int node, int target, std::uint32_t attempt, std::int64_t detail,
-                      SimTime now);
-
-  const core::engine::EngineContext& ctx_;
   ObsConfig config_;
-  std::vector<DecisionRecord> ring_;  ///< wraps at config_.capacity when bounded
-  std::uint64_t head_ = 0;            ///< next write slot when the ring is full
-  std::uint64_t recorded_ = 0;        ///< global record count (sink index source)
+  Ring<DecisionRecord> ring_;   ///< wraps at config_.capacity when bounded
+  std::uint64_t recorded_ = 0;  ///< global record count (sink index source)
 };
 
 }  // namespace l2s::obs

@@ -6,6 +6,7 @@
 // never touch the simulation.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -41,8 +42,13 @@ void write_spans_csv(std::ostream& out, const Snapshot& snapshot);
 /// sampled spans.
 void write_summary(std::ostream& out, const Snapshot& snapshot);
 
-/// Path-based wrappers; throw std::runtime_error when the file can't be
-/// opened.
+/// Write `path` through `writer`. Throws l2s::Error naming the path when
+/// the file cannot be opened, or when the stream has failed once the
+/// writer's output is flushed (a full disk, /dev/full). Every path-based
+/// exporter, telemetry's and obs's alike, writes through it.
+void export_to(const std::string& path, const std::function<void(std::ostream&)>& writer);
+
+/// Path-based wrappers over export_to.
 void export_chrome_trace(const std::string& path, const Snapshot& snapshot);
 void export_metrics_csv(const std::string& path, const Snapshot& snapshot);
 void export_timeseries_csv(const std::string& path, const Snapshot& snapshot);

@@ -60,6 +60,14 @@ struct HistogramParams {
   std::size_t buckets = 64;
 };
 
+/// The q-quantile of `total` values counted in `buckets` shaped by
+/// `params`: the lower bound of the bucket holding the value of rank
+/// floor(q * (total - 1)). Histogram::quantile and the exporters (which
+/// hold a snapshot's bucket copy) both call this one walk.
+[[nodiscard]] double bucket_quantile(const HistogramParams& params,
+                                     const std::vector<std::uint64_t>& buckets,
+                                     std::uint64_t total, double q);
+
 class Histogram {
  public:
   explicit Histogram(HistogramParams params = {});

@@ -1,6 +1,6 @@
 // SimTelemetry: the bridge between the simulation engine and the
-// telemetry subsystem. It is one more LifecycleObserver on the engine's
-// fan-out — the engine neither knows nor cares that it exists — and owns
+// telemetry subsystem. It is one more sink on the engine's lifecycle event
+// stream — the engine neither knows nor cares that it exists — and owns
 // the run's Registry, SpanRecorder and TimelineProbe. The coordinator
 // registers it only when TelemetryConfig::enabled is set, which is the
 // whole null-object story: disabled telemetry is not a cheap code path,
@@ -42,25 +42,13 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
   /// timeline, ready for exporters or cross-job merging.
   [[nodiscard]] Snapshot snapshot() const;
 
-  // --- LifecycleObserver --------------------------------------------------
-  void on_decision(const obs::DecisionRecord& record) override;
-  void on_request_completed(const cluster::Connection& conn, SimTime now) override;
-  void on_request_failed(const cluster::Connection* conn,
-                         core::engine::FailureKind kind, SimTime now) override;
-  void on_retry_scheduled(SimTime now) override;
-  void on_hedge(SimTime now) override;
-  void on_brownout(int level, SimTime now) override;
-  void on_forward() override;
-  void on_migration() override;
-  void on_remote_fetch() override;
+  void on_event(const obs::DecisionRecord& record, const cluster::Connection* conn) override;
   void on_load_sample(SimTime now) override;
-  void on_node_crashed(int node, SimTime at) override;
-  void on_node_repaired(int node, SimTime at) override;
-  void on_node_detected(int node, SimTime at) override;
-  void on_node_readmitted(int node, SimTime at) override;
 
  private:
-  void record_fault(FaultEvent::Kind kind, int node, SimTime at);
+  /// Span of a sampled request that ended (completed or failed) at `end`.
+  void record_span(const cluster::Connection& conn, SpanVerdict verdict, SimTime end);
+  void record_fault(FaultEvent::Kind kind, const obs::DecisionRecord& record);
 
   const core::engine::EngineContext& ctx_;
   TelemetryConfig config_;

@@ -8,8 +8,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "l2sim/common/ring.hpp"
 #include "l2sim/common/units.hpp"
 
 namespace l2s::telemetry {
@@ -92,34 +92,18 @@ struct FaultEvent {
 /// Bounded ring of sampled spans. When full, recording overwrites the
 /// oldest span and counts it in overwritten() — recent history survives,
 /// accounting stays honest.
-class SpanRecorder {
+class SpanRecorder : public Ring<Span> {
  public:
+  /// Throws std::invalid_argument unless both parameters are positive.
   SpanRecorder(std::size_t capacity, std::uint64_t sample_every);
 
   /// Deterministic 1-in-N decision, a pure function of the request id
   /// (splitmix64 finalizer, so consecutive ids sample uniformly).
   [[nodiscard]] bool sampled(std::uint64_t request_id) const;
-
-  void record(const Span& span);
-
-  /// Spans oldest-to-newest (unwraps the ring).
-  [[nodiscard]] std::vector<Span> chronological() const;
-
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::uint64_t sample_every() const { return sample_every_; }
-  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
-  /// Spans lost to ring wraparound (== recorded() - size()).
-  [[nodiscard]] std::uint64_t overwritten() const { return recorded_ - size_; }
-
-  void reset();
 
  private:
-  std::vector<Span> ring_;
-  std::size_t next_ = 0;  ///< slot the next span lands in
-  std::size_t size_ = 0;
   std::uint64_t sample_every_;
-  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace l2s::telemetry

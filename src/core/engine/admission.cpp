@@ -38,7 +38,6 @@ void AdmissionController::reject_overflow() {
   if (injector_->try_take(seq, r)) {
     ctx_.note_decision(obs::DecisionKind::kReject, obs::DecisionCause::kBufferOverflow,
                        seq, -1);
-    ctx_.observers->on_request_failed(nullptr, FailureKind::kRejected, ctx_.now());
   }
 }
 
@@ -51,7 +50,6 @@ void AdmissionController::shed_arrival() {
     // injector sequence number instead of a connection id.
     ctx_.note_decision(obs::DecisionKind::kShed, ctx_.overload->last_shed_cause(), seq,
                        -1);
-    ctx_.observers->on_request_failed(nullptr, FailureKind::kShed, ctx_.now());
   }
 }
 

@@ -104,7 +104,6 @@ void Dispatcher::dispatch_to(const ConnPtr& conn, int target) {
     return;
   }
 
-  ctx_.observers->on_forward();
   conn->state = ConnectionState::kForwarding;
   const auto att = conn->attempt;
   cluster::Node& entry = ctx_.node(conn->entry_node);

@@ -53,44 +53,73 @@ void MetricsCollector::sample_loads() {
     for (const auto& n : *ctx_.nodes) *timeline_ << ',' << n->open_connections();
     *timeline_ << '\n';
   }
-  // Let passive observers (the telemetry probe) piggyback on this tick.
-  ctx_.observers->on_load_sample(ctx_.now());
+  // Let passive sinks (the telemetry probe) piggyback on this tick.
+  for (LifecycleObserver* sink : ctx_.sinks) sink->on_load_sample(ctx_.now());
   ctx_.sched->after(ctx_.cfg().load_sample_interval, [this]() { sample_loads(); });
 }
 
-void MetricsCollector::on_request_completed(const cluster::Connection& conn, SimTime now) {
-  ++completed_;
-  if (conn.retries_used > 0) ++completed_after_retry_;
-  availability_.record_completion(now);
-  // Client-perceived latency spans every attempt, from the first arrival.
-  const double response_ms = simtime_to_seconds(now - conn.first_arrival) * 1e3;
-  response_times_.add(response_ms);
-  response_hist_.add(response_ms);
-  stage_entry_.add(simtime_ms(conn.t_decided - conn.arrival));
-  stage_forward_.add(simtime_ms(conn.t_service - conn.t_decided));
-  stage_disk_.add(simtime_ms(conn.t_disk_done - conn.t_service));
-  stage_reply_.add(simtime_ms(now - conn.t_disk_done));
-}
-
-void MetricsCollector::on_connection_closed(const cluster::Connection& /*conn*/) {
-  ++connections_;
-}
-
-void MetricsCollector::on_request_failed(const cluster::Connection* /*conn*/,
-                                         FailureKind kind, SimTime now) {
-  ++failed_;
-  switch (kind) {
-    case FailureKind::kDeadline: ++failed_deadline_; break;
-    case FailureKind::kRetriesExhausted: ++failed_retries_; break;
-    case FailureKind::kRejected: ++failed_rejected_; break;
-    case FailureKind::kShed: ++failed_shed_; break;
+void MetricsCollector::on_event(const obs::DecisionRecord& record,
+                                const cluster::Connection* conn) {
+  const SimTime now = record.time;
+  switch (record.kind) {
+    case obs::DecisionKind::kDispatch:
+      if (record.cause == obs::DecisionCause::kForwardService) ++forwarded_;
+      break;
+    case obs::DecisionKind::kMigrate:
+      ++migrations_;
+      ++forwarded_;
+      break;
+    case obs::DecisionKind::kRemoteFetch:
+      ++remote_fetches_;
+      ++forwarded_;
+      break;
+    case obs::DecisionKind::kComplete: {
+      ++completed_;
+      if (conn->retries_used > 0) ++completed_after_retry_;
+      availability_.record_completion(now);
+      // Client-perceived latency spans every attempt, from the first arrival.
+      const double response_ms = simtime_to_seconds(now - conn->first_arrival) * 1e3;
+      response_times_.add(response_ms);
+      response_hist_.add(response_ms);
+      stage_entry_.add(simtime_ms(conn->t_decided - conn->arrival));
+      stage_forward_.add(simtime_ms(conn->t_service - conn->t_decided));
+      stage_disk_.add(simtime_ms(conn->t_disk_done - conn->t_service));
+      stage_reply_.add(simtime_ms(now - conn->t_disk_done));
+      break;
+    }
+    case obs::DecisionKind::kClose: ++connections_; break;
+    case obs::DecisionKind::kFailure:
+      count_failure(record.cause == obs::DecisionCause::kDeadlineExpired ? failed_deadline_
+                                                                         : failed_retries_,
+                    now);
+      break;
+    case obs::DecisionKind::kReject: count_failure(failed_rejected_, now); break;
+    case obs::DecisionKind::kShed: count_failure(failed_shed_, now); break;
+    case obs::DecisionKind::kRetry:
+      ++retry_attempts_;
+      availability_.record_retry();
+      break;
+    case obs::DecisionKind::kHedge: ++hedge_attempts_; break;
+    case obs::DecisionKind::kBrownout:
+      ++brownout_transitions_;
+      brownout_level_ = static_cast<int>(record.detail);
+      break;
+    case obs::DecisionKind::kBudgetDeny: break;
+    case obs::DecisionKind::kNodeCrash: availability_.record_crash(record.node, now); break;
+    case obs::DecisionKind::kNodeRepair: availability_.record_repair(record.node, now); break;
+    case obs::DecisionKind::kNodeSuspected:
+      availability_.record_detection(record.node, now);
+      break;
+    case obs::DecisionKind::kNodeReadmitted:
+      availability_.record_readmission(record.node, now);
+      break;
   }
-  availability_.record_failure(now);
 }
 
-void MetricsCollector::on_retry_scheduled(SimTime /*now*/) {
-  ++retry_attempts_;
-  availability_.record_retry();
+void MetricsCollector::count_failure(std::uint64_t& bucket, SimTime now) {
+  ++failed_;
+  ++bucket;
+  availability_.record_failure(now);
 }
 
 void MetricsCollector::reset() {
@@ -121,6 +150,8 @@ void MetricsCollector::reset() {
 
 SimResult MetricsCollector::collect(SimTime measure_start,
                                     const fault::FailureDetector* detector) const {
+  if (timeline_ && !timeline_->flush())
+    throw_error("cannot write timeline CSV: " + ctx_.cfg().timeline_csv_path);
   SimResult r;
   r.policy = ctx_.policy->name();
   r.trace = ctx_.trace->name();

@@ -142,33 +142,28 @@ void OverloadController::close_window(SimTime now) {
       next = up;
     else if (down < level_)
       next = down;
-    if (next != level_) set_brownout_level(next, now);
+    if (next != level_) set_brownout_level(next);
   }
 }
 
-void OverloadController::set_brownout_level(int level, SimTime now) {
+void OverloadController::set_brownout_level(int level) {
   ctx_.note_decision(obs::DecisionKind::kBrownout,
                      level > level_ ? obs::DecisionCause::kBrownoutRaise
                                     : obs::DecisionCause::kBrownoutEase,
                      0, -1, -1, 0, level);
   level_ = level;
   ctx_.policy->on_brownout(level);
-  ctx_.observers->on_brownout(level, now);
 }
 
-void OverloadController::note_failure(const cluster::Connection* conn,
-                                      FailureKind kind, SimTime now) {
+void OverloadController::note_failure(const cluster::Connection& conn, SimTime now) {
   if (!ctx_.measured_pass) return;
-  if (kind != FailureKind::kDeadline && kind != FailureKind::kRetriesExhausted)
-    return;
   // Failed requests feed the delay window too: in a full collapse the only
   // completions are the lucky fast ones, so a completion-only estimator
   // reads "healthy" while everything else dies of old age. A request that
   // failed its deadline sat in the system at least that long — that IS the
   // standing-queue signal.
-  if (conn != nullptr &&
-      (ov().shedder == ShedderKind::kQueueDelay || ov().brownout)) {
-    update_delay_signal(simtime_to_seconds(now - conn->first_arrival), now);
+  if (ov().shedder == ShedderKind::kQueueDelay || ov().brownout) {
+    update_delay_signal(simtime_to_seconds(now - conn.first_arrival), now);
   }
   if (ov().shedder != ShedderKind::kAimd) return;
   aimd_failure_seen_ = true;

@@ -57,8 +57,8 @@ void PersistentPath::persistent_distribute(const ConnPtr& conn) {
 }
 
 void PersistentPath::migrate_connection(const ConnPtr& conn, int target) {
-  ctx_.observers->on_migration();
-  ctx_.observers->on_forward();
+  ctx_.note_decision(obs::DecisionKind::kMigrate, obs::DecisionCause::kNone, conn->id,
+                     conn->service_node, target, conn->attempt);
   conn->state = ConnectionState::kForwarding;
   const int from = conn->service_node;
   const auto att = conn->attempt;
@@ -89,8 +89,8 @@ void PersistentPath::migrate_connection(const ConnPtr& conn, int target) {
 }
 
 void PersistentPath::remote_fetch(const ConnPtr& conn, int owner) {
-  ctx_.observers->on_remote_fetch();
-  ctx_.observers->on_forward();
+  ctx_.note_decision(obs::DecisionKind::kRemoteFetch, obs::DecisionCause::kNone, conn->id,
+                     conn->service_node, owner, conn->attempt);
   // Back-end request forwarding: the connection stays put; the caching
   // node supplies the content over the cluster network and the current
   // node replies to the client. The fetched file is *not* inserted into

@@ -9,13 +9,15 @@
 
 namespace l2s::core::engine {
 
-void RetryManager::fail_connection(const ConnPtr& conn, FailureKind kind,
+void RetryManager::fail_connection(const ConnPtr& conn, obs::DecisionCause cause,
                                    SimTime slot_hold) {
   if (conn->state == ConnectionState::kDone) return;
   ctx_.service->release_service_count(conn);
   conn->state = ConnectionState::kDone;
-  ctx_.overload->note_failure(conn.get(), kind, ctx_.now());
-  ctx_.observers->on_request_failed(conn.get(), kind, ctx_.now());
+  ctx_.overload->note_failure(*conn, ctx_.now());
+  ctx_.note_decision(obs::DecisionKind::kFailure, cause, conn->id, conn->entry_node,
+                     conn->service_node, conn->attempt,
+                     static_cast<std::int64_t>(conn->retries_used), conn.get());
   ctx_.admission->release_after(slot_hold);
 }
 
@@ -37,7 +39,7 @@ void RetryManager::abort_connection(const ConnPtr& conn, obs::DecisionCause caus
   }
   // The client holds the connection until its timeout expires; only then
   // does the admission slot free up for the next request.
-  fail_connection(conn, FailureKind::kRetriesExhausted,
+  fail_connection(conn, obs::DecisionCause::kRetriesExhausted,
                   seconds_to_simtime(ctx_.cfg().failure_client_timeout_seconds));
 }
 
@@ -46,7 +48,6 @@ void RetryManager::schedule_retry(const ConnPtr& conn, obs::DecisionCause cause)
   ++conn->attempt;
   ctx_.note_decision(obs::DecisionKind::kRetry, cause, conn->id, conn->entry_node, -1,
                      conn->attempt, static_cast<std::int64_t>(conn->retries_used));
-  ctx_.observers->on_retry_scheduled(ctx_.now());
   conn->state = ConnectionState::kRetryBackoff;
   const auto& rp = ctx_.cfg().retry;
   double backoff = rp.initial_backoff_seconds;
@@ -67,7 +68,7 @@ void RetryManager::arm_deadline(const ConnPtr& conn) {
   ctx_.sched->after(seconds_to_simtime(ddl), [this, conn, target]() {
     if (conn->state == ConnectionState::kDone) return;
     if (conn->deadline_at != target) return;  // a later request re-armed it
-    fail_connection(conn, FailureKind::kDeadline, 0);
+    fail_connection(conn, obs::DecisionCause::kDeadlineExpired, 0);
   });
 }
 
@@ -94,7 +95,7 @@ void RetryManager::arm_attempt_timeout(const ConnPtr& conn) {
                               static_cast<std::int64_t>(
                                   obs::DecisionCause::kAttemptTimeout));
                         }
-                        fail_connection(conn, FailureKind::kRetriesExhausted, 0);
+                        fail_connection(conn, obs::DecisionCause::kRetriesExhausted, 0);
                       }
                     });
 }
@@ -129,7 +130,6 @@ void RetryManager::arm_hedge(const ConnPtr& conn) {
         ctx_.note_decision(obs::DecisionKind::kHedge, obs::DecisionCause::kHedgeFired,
                            conn->id, conn->entry_node, -1, conn->attempt,
                            static_cast<std::int64_t>(conn->hedges_used));
-        ctx_.observers->on_hedge(ctx_.now());
         ctx_.dispatcher->start_attempt(conn);
         arm_hedge(conn);
       });

@@ -84,7 +84,11 @@ void ServicePath::request_finished(const ConnPtr& conn) {
   conn->completion = ctx_.now();
   ++conn->requests_served;
   ctx_.overload->note_completion(*conn, conn->completion);
-  ctx_.observers->on_request_completed(*conn, conn->completion);
+  ctx_.note_decision(obs::DecisionKind::kComplete,
+                     conn->forwarded() ? obs::DecisionCause::kForwardService
+                                       : obs::DecisionCause::kLocalService,
+                     conn->id, conn->entry_node, conn->service_node, conn->attempt,
+                     conn->cache_hit ? 1 : 0, conn.get());
 
   if (conn->remaining_requests > 0) {
     std::uint64_t seq = 0;
@@ -116,7 +120,9 @@ void ServicePath::close_connection(const ConnPtr& conn) {
   const bool same_epoch = n.epoch() == conn->service_epoch;
   if (same_epoch) n.connection_closed();
   conn->counted_in_service = false;
-  ctx_.observers->on_connection_closed(*conn);
+  ctx_.note_decision(obs::DecisionKind::kClose, obs::DecisionCause::kNone, conn->id,
+                     conn->entry_node, conn->service_node, conn->attempt,
+                     static_cast<std::int64_t>(conn->requests_served), conn.get());
   if (same_epoch) ctx_.policy->on_complete(conn->service_node, conn->request);
   ctx_.admission->on_complete();
 }

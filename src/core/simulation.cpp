@@ -66,7 +66,7 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   policy_->attach(pctx);
 
   // Wire the engine: every component reaches its collaborators through
-  // ctx_, and every lifecycle event fans out to the metrics collector.
+  // ctx_, and every lifecycle event reaches the metrics collector.
   ctx_.config = &config_;
   ctx_.trace = &trace_;
   ctx_.sched = &sched_;
@@ -77,7 +77,6 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   ctx_.policy = policy_.get();
   ctx_.nodes = &nodes_;
   ctx_.rng = &rng_;
-  ctx_.observers = &fanout_;
   admission_ = std::make_unique<engine::AdmissionController>(ctx_);
   arrival_ = std::make_unique<engine::ArrivalSource>(ctx_);
   dispatcher_ = std::make_unique<engine::Dispatcher>(ctx_);
@@ -93,14 +92,14 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   ctx_.service = service_.get();
   ctx_.persistent = persistent_.get();
   ctx_.overload = overload_.get();
-  fanout_.add(metrics_.get());
+  ctx_.sinks.push_back(metrics_.get());
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<telemetry::SimTelemetry>(ctx_, config_.telemetry);
-    fanout_.add(telemetry_.get());
+    ctx_.sinks.push_back(telemetry_.get());
   }
   if (config_.obs.active()) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(ctx_, config_.obs);
-    fanout_.add(recorder_.get());
+    recorder_ = std::make_unique<obs::FlightRecorder>(config_.obs);
+    ctx_.sinks.push_back(recorder_.get());
   }
 }
 
@@ -155,23 +154,27 @@ void ClusterSimulation::replay_trace() {
 void ClusterSimulation::arm_faults(SimTime measure_start) {
   const SimTime detect_delay = seconds_to_simtime(config_.failure_detection_seconds);
   const bool heartbeats = config_.detection.heartbeats;
+  // Every fault-timeline hook runs at the simulated time it reports.
+  const auto note = [this](obs::DecisionKind kind, int node) {
+    ctx_.note_decision(kind, obs::DecisionCause::kNone, 0, node);
+  };
 
   if (!config_.fault_plan.empty()) {
     fault::FaultRuntime::Hooks hooks;
-    hooks.on_crash = [this, detect_delay, heartbeats](int node, SimTime at) {
-      fanout_.on_node_crashed(node, at);
+    hooks.on_crash = [this, note, detect_delay, heartbeats](int node, SimTime /*at*/) {
+      note(obs::DecisionKind::kNodeCrash, node);
       if (heartbeats) return;  // the heartbeat detector notices by itself
-      sched_.after(detect_delay, [this, node]() {
+      sched_.after(detect_delay, [this, note, node]() {
         policy_->on_node_failed(node);
-        fanout_.on_node_detected(node, sched_.now());
+        note(obs::DecisionKind::kNodeSuspected, node);
       });
     };
-    hooks.on_recover = [this, detect_delay, heartbeats](int node, SimTime at) {
-      fanout_.on_node_repaired(node, at);
+    hooks.on_recover = [this, note, detect_delay, heartbeats](int node, SimTime /*at*/) {
+      note(obs::DecisionKind::kNodeRepair, node);
       if (heartbeats) return;
-      sched_.after(detect_delay, [this, node]() {
+      sched_.after(detect_delay, [this, note, node]() {
         policy_->on_node_recovered(node);
-        fanout_.on_node_readmitted(node, sched_.now());
+        note(obs::DecisionKind::kNodeReadmitted, node);
       });
     };
     std::vector<cluster::Node*> ptrs;
@@ -192,13 +195,13 @@ void ClusterSimulation::arm_faults(SimTime measure_start) {
         sched_, via_, std::move(ptrs), config_.detection, config_.control_msg_bytes);
     detector_->start(
         [this]() { return admission_->active() && !admission_->drained(); },
-        [this](int node, SimTime at) {
+        [this, note](int node, SimTime /*at*/) {
           policy_->on_node_suspected(node);
-          fanout_.on_node_detected(node, at);
+          note(obs::DecisionKind::kNodeSuspected, node);
         },
-        [this](int node, SimTime at) {
+        [this, note](int node, SimTime /*at*/) {
           policy_->on_node_recovered(node);
-          fanout_.on_node_readmitted(node, at);
+          note(obs::DecisionKind::kNodeReadmitted, node);
         });
   }
 }

@@ -17,6 +17,9 @@ std::string_view to_string(DecisionKind kind) {
     case DecisionKind::kNodeRepair: return "node_repair";
     case DecisionKind::kNodeSuspected: return "node_suspected";
     case DecisionKind::kNodeReadmitted: return "node_readmitted";
+    case DecisionKind::kMigrate: return "migrate";
+    case DecisionKind::kRemoteFetch: return "remote_fetch";
+    case DecisionKind::kClose: return "close";
   }
   return "unknown";
 }

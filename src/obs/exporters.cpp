@@ -1,11 +1,9 @@
 #include "l2sim/obs/exporters.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
-#include "l2sim/common/error.hpp"
 #include "l2sim/telemetry/exporters.hpp"
 
 namespace l2s::obs {
@@ -73,26 +71,15 @@ void write_chrome_trace_with_decisions(std::ostream& out,
   telemetry::write_chrome_trace(out, snapshot, decision_chrome_events(trace));
 }
 
-namespace {
-
-template <typename Fn>
-void export_to(const std::string& path, Fn writer) {
-  std::ofstream out(path);
-  if (!out) throw_error("obs: cannot open output file: " + path);
-  writer(out);
-}
-
-}  // namespace
-
 void export_decisions_csv(const std::string& path, const DecisionTrace& trace) {
-  export_to(path, [&](std::ostream& out) { write_decisions_csv(out, trace); });
+  telemetry::export_to(path, [&](std::ostream& out) { write_decisions_csv(out, trace); });
 }
 
 void export_chrome_trace_with_decisions(const std::string& path,
                                         const telemetry::Snapshot& snapshot,
                                         const DecisionTrace& trace) {
-  export_to(path,
-            [&](std::ostream& out) { write_chrome_trace_with_decisions(out, snapshot, trace); });
+  telemetry::export_to(
+      path, [&](std::ostream& out) { write_chrome_trace_with_decisions(out, snapshot, trace); });
 }
 
 }  // namespace l2s::obs

@@ -1,113 +1,28 @@
 #include "l2sim/obs/recorder.hpp"
 
-#include <utility>
-
 namespace l2s::obs {
 
-using core::engine::FailureKind;
+FlightRecorder::FlightRecorder(const ObsConfig& config)
+    : config_(config), ring_(static_cast<std::size_t>(config.capacity)) {}
 
-FlightRecorder::FlightRecorder(const core::engine::EngineContext& ctx,
-                               const ObsConfig& config)
-    : ctx_(ctx), config_(config) {
-  if (config_.capacity > 0) {
-    // Bounded ring: reserve up front so steady-state appends never allocate.
-    ring_.reserve(static_cast<std::size_t>(config_.capacity));
-  }
-}
-
-void FlightRecorder::append(DecisionRecord record) {
+void FlightRecorder::on_event(const DecisionRecord& record,
+                              const cluster::Connection* /*conn*/) {
   if (!config_.include_warmup && record.pass == 0) return;
   if (config_.sink != nullptr) config_.sink->on_decision(recorded_, record);
   ++recorded_;
-  if (!config_.enabled) return;  // sink-only mode: nothing retained
-  if (config_.capacity == 0 || ring_.size() < config_.capacity) {
-    ring_.push_back(record);
-    return;
-  }
-  // Branch instead of modulo: this is the steady-state path of a full
-  // ring, and a 64-bit division per record is most of the recorder's cost.
-  ring_[static_cast<std::size_t>(head_)] = record;
-  if (++head_ == config_.capacity) head_ = 0;
-}
-
-void FlightRecorder::append_derived(DecisionKind kind, DecisionCause cause,
-                                    std::uint64_t request, int node, int target,
-                                    std::uint32_t attempt, std::int64_t detail,
-                                    SimTime now) {
-  DecisionRecord rec;
-  rec.time = now;
-  rec.request = request;
-  rec.node = node;
-  rec.target = target;
-  rec.detail = detail;
-  rec.attempt = attempt;
-  rec.kind = kind;
-  rec.cause = cause;
-  rec.pass = ctx_.measured_pass ? 1 : 0;
-  append(rec);
-}
-
-void FlightRecorder::on_decision(const DecisionRecord& record) { append(record); }
-
-void FlightRecorder::on_request_completed(const cluster::Connection& conn, SimTime now) {
-  append_derived(DecisionKind::kComplete,
-                 conn.service_node == conn.entry_node ? DecisionCause::kLocalService
-                                                      : DecisionCause::kForwardService,
-                 conn.id, conn.entry_node, conn.service_node, conn.attempt,
-                 conn.cache_hit ? 1 : 0, now);
-}
-
-void FlightRecorder::on_request_failed(const cluster::Connection* conn, FailureKind kind,
-                                       SimTime now) {
-  // Admission rejects/sheds arrive with conn == nullptr; those already have
-  // richer explicit kReject/kShed records from AdmissionController, so only
-  // terminal per-connection failures are derived here.
-  if (conn == nullptr) return;
-  append_derived(DecisionKind::kFailure,
-                 kind == FailureKind::kDeadline ? DecisionCause::kDeadlineExpired
-                                                : DecisionCause::kRetriesExhausted,
-                 conn->id, conn->entry_node, conn->service_node, conn->attempt,
-                 static_cast<std::int64_t>(conn->retries_used), now);
-}
-
-void FlightRecorder::on_node_crashed(int node, SimTime at) {
-  append_derived(DecisionKind::kNodeCrash, DecisionCause::kNone, 0, node, -1, 0, 0, at);
-}
-
-void FlightRecorder::on_node_repaired(int node, SimTime at) {
-  append_derived(DecisionKind::kNodeRepair, DecisionCause::kNone, 0, node, -1, 0, 0, at);
-}
-
-void FlightRecorder::on_node_detected(int node, SimTime at) {
-  append_derived(DecisionKind::kNodeSuspected, DecisionCause::kNone, 0, node, -1, 0, 0,
-                 at);
-}
-
-void FlightRecorder::on_node_readmitted(int node, SimTime at) {
-  append_derived(DecisionKind::kNodeReadmitted, DecisionCause::kNone, 0, node, -1, 0, 0,
-                 at);
+  if (config_.enabled) ring_.record(record);  // sink-only mode retains nothing
 }
 
 void FlightRecorder::clear() {
-  ring_.clear();
-  head_ = 0;
+  ring_.reset();
   recorded_ = 0;
 }
 
 DecisionTrace FlightRecorder::trace() const {
-  DecisionTrace out;
-  out.recorded = recorded_;
-  out.capacity = config_.capacity;
-  out.records.reserve(ring_.size());
-  // head_ is the oldest slot once the ring has wrapped (it is the next
-  // write position); before wrapping head_ stays 0 and the ring is already
-  // oldest-first.
-  const std::size_t n = ring_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.records.push_back(ring_[(static_cast<std::size_t>(head_) + i) % n]);
-  }
-  out.dropped = recorded_ - static_cast<std::uint64_t>(n);
-  return out;
+  return {.records = ring_.chronological(),
+          .recorded = recorded_,
+          .dropped = recorded_ - ring_.size(),
+          .capacity = config_.capacity};
 }
 
 }  // namespace l2s::obs

@@ -63,22 +63,10 @@ namespace {
   return -1;
 }
 
-/// Quantile over snapshotted histogram buckets (same walk as
-/// Histogram::quantile, reconstructed from the value-type copy).
+/// Quantile over a snapshot's histogram buckets.
 [[nodiscard]] double snapshot_quantile(const MetricSnapshot& m, double q) {
-  if (m.kind != MetricKind::kHistogram || m.count == 0) return 0.0;
-  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(m.count - 1));
-  std::uint64_t seen = 0;
-  double lower = 0.0;
-  double next = m.histogram_params.base;
-  for (std::size_t i = 0; i < m.histogram_buckets.size(); ++i) {
-    seen += m.histogram_buckets[i];
-    if (seen > target) return lower;
-    lower = next;
-    next *= m.histogram_params.growth;
-  }
-  return lower;
+  if (m.kind != MetricKind::kHistogram) return 0.0;
+  return bucket_quantile(m.histogram_params, m.histogram_buckets, m.count, q);
 }
 
 class JsonEventWriter {
@@ -292,16 +280,12 @@ void write_summary(std::ostream& out, const Snapshot& snapshot) {
   }
 }
 
-namespace {
-
-template <typename Fn>
-void export_to(const std::string& path, Fn writer) {
+void export_to(const std::string& path, const std::function<void(std::ostream&)>& writer) {
   std::ofstream out(path);
-  if (!out) throw_error("telemetry: cannot open output file: " + path);
+  if (!out) throw_error("cannot open output file: " + path);
   writer(out);
+  if (!out.flush()) throw_error("cannot write output file: " + path);
 }
-
-}  // namespace
 
 void export_chrome_trace(const std::string& path, const Snapshot& snapshot) {
   export_to(path, [&](std::ostream& out) { write_chrome_trace(out, snapshot); });

@@ -71,16 +71,29 @@ double Histogram::bucket_lower_bound(std::size_t i) const {
   return bound;
 }
 
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
+double bucket_quantile(const HistogramParams& params,
+                       const std::vector<std::uint64_t>& buckets, std::uint64_t total,
+                       double q) {
+  if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_ - 1));
+  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total - 1));
+  // Lower bounds by the same repeated multiplication as bucket_lower_bound,
+  // so every quantile is bit-identical to that bound. The last bucket
+  // (overflow) holds whatever rank is left.
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen > target) return bucket_lower_bound(i);
+  double lower = 0.0;
+  double next = params.base;
+  for (std::size_t i = 0; i + 1 < buckets.size(); ++i) {
+    seen += buckets[i];
+    if (seen > target) return lower;
+    lower = next;
+    next *= params.growth;
   }
-  return bucket_lower_bound(counts_.size() - 1);
+  return lower;
+}
+
+double Histogram::quantile(double q) const {
+  return bucket_quantile(params_, counts_, total_, q);
 }
 
 void Histogram::merge(const Histogram& other) {

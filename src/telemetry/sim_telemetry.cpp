@@ -61,75 +61,53 @@ Snapshot SimTelemetry::snapshot() const {
   return snap;
 }
 
-void SimTelemetry::on_request_completed(const cluster::Connection& conn, SimTime now) {
-  completed_->add();
-  if (conn.cache_hit) completed_hits_->add();
-  if (conn.forwarded()) completed_forwarded_->add();
-  response_ms_->add(simtime_to_seconds(now - conn.first_arrival) * 1e3);
-  goodput_completed_->bump(now);
-
-  if (config_.span_sample_every == 0 || !spans_.sampled(conn.id)) return;
-  Span span;
-  span.request_id = conn.id;
-  span.entry_node = conn.entry_node;
-  span.service_node = conn.service_node;
-  span.verdict = conn.forwarded() ? SpanVerdict::kForwarded : SpanVerdict::kLocal;
-  span.cache_hit = conn.cache_hit;
-  span.attempt = conn.attempt;
-  span.retries_used = conn.retries_used;
-  span.fault_epoch = fault_epoch_;
-  span.first_arrival = conn.first_arrival;
-  span.arrival = conn.arrival;
-  span.decided = conn.t_decided;
-  span.service = conn.t_service;
-  span.disk_done = conn.t_disk_done;
-  span.completion = now;
-  spans_.record(span);
-}
-
-void SimTelemetry::on_request_failed(const cluster::Connection* conn,
-                                     core::engine::FailureKind kind, SimTime now) {
-  switch (kind) {
-    case core::engine::FailureKind::kDeadline: failed_deadline_->add(); break;
-    case core::engine::FailureKind::kRetriesExhausted: failed_retries_->add(); break;
-    case core::engine::FailureKind::kRejected: failed_rejected_->add(); break;
-    case core::engine::FailureKind::kShed: failed_shed_->add(); break;
-  }
-  goodput_failed_->bump(now);
-
-  // Admission rejects and sheds never materialize a connection
-  // (conn == nullptr), so those requests leave counters but no span.
-  if (conn == nullptr) return;
-  if (config_.span_sample_every == 0 || !spans_.sampled(conn->id)) return;
-  Span span;
-  span.request_id = conn->id;
-  span.entry_node = conn->entry_node;
-  span.service_node = conn->service_node;
-  span.verdict = kind == core::engine::FailureKind::kDeadline
-                     ? SpanVerdict::kDeadline
-                     : SpanVerdict::kRetriesExhausted;
-  span.cache_hit = conn->cache_hit;
-  span.attempt = conn->attempt;
-  span.retries_used = conn->retries_used;
-  span.fault_epoch = fault_epoch_;
-  span.first_arrival = conn->first_arrival;
-  span.arrival = conn->arrival;
-  span.decided = conn->t_decided;
-  span.service = conn->t_service;
-  span.disk_done = conn->t_disk_done;
-  span.completion = now;
-  spans_.record(span);
-}
-
-void SimTelemetry::on_decision(const obs::DecisionRecord& record) {
-  // Per-cause overload accounting: which shedder said no, which direction
-  // the brownout moved, which budget spend was denied. Lazy registration is
-  // fine — the decision stream is deterministic, so registration order is
-  // too — and reset() keeps the registrations across the warm-up boundary.
+void SimTelemetry::on_event(const obs::DecisionRecord& record,
+                            const cluster::Connection* conn) {
+  // Per-cause overload accounting (which shedder said no, which direction
+  // the brownout moved, which budget spend was denied) registers its
+  // counters lazily. That is fine — the stream is deterministic, so
+  // registration order is too — and reset() keeps the registrations across
+  // the warm-up boundary.
   switch (record.kind) {
+    case obs::DecisionKind::kDispatch:
+      if (record.cause == obs::DecisionCause::kForwardService) forwards_->add();
+      break;
+    case obs::DecisionKind::kMigrate:
+      migrations_->add();
+      forwards_->add();
+      break;
+    case obs::DecisionKind::kRemoteFetch:
+      remote_fetches_->add();
+      forwards_->add();
+      break;
+    case obs::DecisionKind::kComplete:
+      completed_->add();
+      if (conn->cache_hit) completed_hits_->add();
+      if (conn->forwarded()) completed_forwarded_->add();
+      response_ms_->add(simtime_to_seconds(record.time - conn->first_arrival) * 1e3);
+      goodput_completed_->bump(record.time);
+      record_span(*conn, conn->forwarded() ? SpanVerdict::kForwarded : SpanVerdict::kLocal,
+                  record.time);
+      break;
+    case obs::DecisionKind::kFailure: {
+      const bool deadline = record.cause == obs::DecisionCause::kDeadlineExpired;
+      (deadline ? failed_deadline_ : failed_retries_)->add();
+      goodput_failed_->bump(record.time);
+      record_span(*conn, deadline ? SpanVerdict::kDeadline : SpanVerdict::kRetriesExhausted,
+                  record.time);
+      break;
+    }
+    // Admission rejects and sheds never materialize a connection, so those
+    // requests leave counters but no span.
+    case obs::DecisionKind::kReject:
+      failed_rejected_->add();
+      goodput_failed_->bump(record.time);
+      break;
     case obs::DecisionKind::kShed:
       registry_.counter("overload.shed", {{"cause", std::string(to_string(record.cause))}})
           .add();
+      failed_shed_->add();
+      goodput_failed_->bump(record.time);
       break;
     case obs::DecisionKind::kBrownout:
       registry_
@@ -139,6 +117,7 @@ void SimTelemetry::on_decision(const obs::DecisionRecord& record) {
                                                       ? "raise"
                                                       : "ease"}})
           .add();
+      brownout_transitions_->add();
       break;
     case obs::DecisionKind::kBudgetDeny:
       registry_
@@ -148,24 +127,40 @@ void SimTelemetry::on_decision(const obs::DecisionRecord& record) {
                                : "retry"}})
           .add();
       break;
-    default:
-      break;  // other kinds are covered by the dedicated lifecycle hooks
+    case obs::DecisionKind::kRetry: retries_->add(); break;
+    case obs::DecisionKind::kHedge: hedges_->add(); break;
+    case obs::DecisionKind::kClose: break;
+    case obs::DecisionKind::kNodeCrash: record_fault(FaultEvent::Kind::kCrash, record); break;
+    case obs::DecisionKind::kNodeRepair: record_fault(FaultEvent::Kind::kRepair, record); break;
+    case obs::DecisionKind::kNodeSuspected:
+      record_fault(FaultEvent::Kind::kDetected, record);
+      break;
+    case obs::DecisionKind::kNodeReadmitted:
+      record_fault(FaultEvent::Kind::kReadmitted, record);
+      break;
   }
 }
 
-void SimTelemetry::on_retry_scheduled(SimTime /*now*/) { retries_->add(); }
-
-void SimTelemetry::on_hedge(SimTime /*now*/) { hedges_->add(); }
-
-void SimTelemetry::on_brownout(int /*level*/, SimTime /*now*/) {
-  brownout_transitions_->add();
+void SimTelemetry::record_span(const cluster::Connection& conn, SpanVerdict verdict,
+                               SimTime end) {
+  if (config_.span_sample_every == 0 || !spans_.sampled(conn.id)) return;
+  Span span;
+  span.request_id = conn.id;
+  span.entry_node = conn.entry_node;
+  span.service_node = conn.service_node;
+  span.verdict = verdict;
+  span.cache_hit = conn.cache_hit;
+  span.attempt = conn.attempt;
+  span.retries_used = conn.retries_used;
+  span.fault_epoch = fault_epoch_;
+  span.first_arrival = conn.first_arrival;
+  span.arrival = conn.arrival;
+  span.decided = conn.t_decided;
+  span.service = conn.t_service;
+  span.disk_done = conn.t_disk_done;
+  span.completion = end;
+  spans_.record(span);
 }
-
-void SimTelemetry::on_forward() { forwards_->add(); }
-
-void SimTelemetry::on_migration() { migrations_->add(); }
-
-void SimTelemetry::on_remote_fetch() { remote_fetches_->add(); }
 
 void SimTelemetry::on_load_sample(SimTime now) {
   if (!probe_) return;
@@ -187,28 +182,12 @@ void SimTelemetry::on_load_sample(SimTime now) {
   probe_->record(sample);
 }
 
-void SimTelemetry::on_node_crashed(int node, SimTime at) {
-  record_fault(FaultEvent::Kind::kCrash, node, at);
-}
-
-void SimTelemetry::on_node_repaired(int node, SimTime at) {
-  record_fault(FaultEvent::Kind::kRepair, node, at);
-}
-
-void SimTelemetry::on_node_detected(int node, SimTime at) {
-  record_fault(FaultEvent::Kind::kDetected, node, at);
-}
-
-void SimTelemetry::on_node_readmitted(int node, SimTime at) {
-  record_fault(FaultEvent::Kind::kReadmitted, node, at);
-}
-
-void SimTelemetry::record_fault(FaultEvent::Kind kind, int node, SimTime at) {
+void SimTelemetry::record_fault(FaultEvent::Kind kind, const obs::DecisionRecord& record) {
   ++fault_epoch_;
   FaultEvent ev;
   ev.kind = kind;
-  ev.node = node;
-  ev.at = at;
+  ev.node = record.node;
+  ev.at = record.time;
   fault_events_.push_back(ev);
 }
 

@@ -28,7 +28,7 @@ bool operator==(const Span& a, const Span& b) {
 }
 
 SpanRecorder::SpanRecorder(std::size_t capacity, std::uint64_t sample_every)
-    : ring_(capacity), sample_every_(sample_every) {
+    : Ring<Span>(capacity), sample_every_(sample_every) {
   if (capacity == 0) throw std::invalid_argument("SpanRecorder: capacity must be > 0");
   if (sample_every == 0) {
     throw std::invalid_argument("SpanRecorder: sample_every must be > 0");
@@ -38,29 +38,6 @@ SpanRecorder::SpanRecorder(std::size_t capacity, std::uint64_t sample_every)
 bool SpanRecorder::sampled(std::uint64_t request_id) const {
   if (sample_every_ == 1) return true;
   return mix64(request_id) % sample_every_ == 0;
-}
-
-void SpanRecorder::record(const Span& span) {
-  ring_[next_] = span;
-  next_ = (next_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
-  ++recorded_;
-}
-
-std::vector<Span> SpanRecorder::chronological() const {
-  std::vector<Span> out;
-  out.reserve(size_);
-  const std::size_t oldest = (size_ < ring_.size()) ? 0 : next_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(oldest + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void SpanRecorder::reset() {
-  next_ = 0;
-  size_ = 0;
-  recorded_ = 0;
 }
 
 }  // namespace l2s::telemetry

@@ -113,6 +113,48 @@ TEST(CliArgs, NumericFlagsParseStrictly) {
   EXPECT_DOUBLE_EQ(ok.get_double("scale", 0.0), 0.01);
 }
 
+// `l2sim run|diff --fail NODE@SECONDS` and `l2sim plan --nodes/--cache-mib`.
+// A lenient parser (atoi/atof) accepts the first four rows as a crash of
+// node 0, a crash at 0.5 s, a crash of node 0 and a crash at 0 s; it reads
+// `4,8x` as 4 and 8 nodes and `4.5` as 4, and turns `abc` or an empty item
+// into a 0 MiB cache that fails later with a message that does not name
+// the flag.
+TEST(CliArgs, FailAndListFlagsParseStrictly) {
+  enum class Form { kIntAtDouble, kIntList, kDoubleList };
+  struct Row {
+    const char* flag;
+    const char* value;
+    Form form;
+  };
+  const std::vector<Row> rows = {
+      {"fail", "x@0.5", Form::kIntAtDouble},   {"fail", "1@0.5x", Form::kIntAtDouble},
+      {"fail", "@0.5", Form::kIntAtDouble},    {"fail", "1@", Form::kIntAtDouble},
+      {"fail", "1", Form::kIntAtDouble},       {"nodes", "4,8x", Form::kIntList},
+      {"nodes", "4.5", Form::kIntList},        {"cache-mib", "16,abc", Form::kDoubleList},
+      {"cache-mib", "16,,32", Form::kDoubleList}, {"cache-mib", "", Form::kDoubleList},
+  };
+  for (const auto& row : rows) {
+    const std::string flag = std::string("--") + row.flag;
+    const std::vector<const char*> argv = {"prog", flag.c_str(), row.value};
+    const CliArgs a(static_cast<int>(argv.size()), argv.data(), 1);
+    try {
+      switch (row.form) {
+        case Form::kIntAtDouble: (void)a.get_int_at_double(row.flag); break;
+        case Form::kIntList: (void)a.get_int_list(row.flag); break;
+        case Form::kDoubleList: (void)a.get_double_list(row.flag); break;
+      }
+      ADD_FAILURE() << "accepted " << flag << " " << row.value;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+  }
+  const auto ok = parse({"--fail", "3@0.25", "--nodes", "4,8,16", "--cache-mib", "16,32.5"});
+  EXPECT_EQ(ok.get_int_at_double("fail"), std::make_pair(3, 0.25));
+  EXPECT_EQ(ok.get_int_list("nodes"), (std::vector<int>{4, 8, 16}));
+  EXPECT_EQ(ok.get_double_list("cache-mib"), (std::vector<double>{16.0, 32.5}));
+  EXPECT_TRUE(ok.get_int_list("absent").empty());
+}
+
 TEST(OverloadCli, FlashArrivalAndChaosSeed) {
   const auto a = parse({"--arrival", "flash", "--flash-at", "5", "--flash-factor",
                         "4.5", "--flash-ramp", "1.5", "--flash-hold", "10",

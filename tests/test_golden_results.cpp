@@ -209,8 +209,8 @@ TEST(GoldenResults, TelemetrySamplingDoesNotPerturbDigests) {
 
 TEST(GoldenResults, FlightRecorderDoesNotPerturbDigests) {
   // The flight recorder is the same kind of passive tap as telemetry: it
-  // rides the lifecycle fan-out, schedules zero events and draws no
-  // randomness. Turning it on (warm-up included, generous ring) must
+  // is a sink on the lifecycle event stream, schedules zero events and
+  // draws no randomness. Turning it on (warm-up included, generous ring) must
   // reproduce every one of the 36 pinned digests bit-for-bit — the
   // recorder-off bit-identity contract of the observability subsystem.
   // (SimResult::decisions is a shared_ptr deliberately excluded from

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -12,7 +14,9 @@
 #include <variant>
 #include <vector>
 
+#include "l2sim/common/error.hpp"
 #include "l2sim/core/simulation.hpp"
+#include "l2sim/obs/exporters.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/telemetry/exporters.hpp"
 #include "l2sim/telemetry/registry.hpp"
@@ -346,6 +350,46 @@ TEST(TelemetryExport, PathWrapperThrowsOnUnwritablePath) {
   const Snapshot snap;
   EXPECT_THROW(export_chrome_trace("/nonexistent-dir/trace.json", snap),
                std::runtime_error);
+}
+
+// /dev/full opens fine and fails every write: each path-based export, and
+// the load timeline a run streams to disk, must report that, naming the
+// path, instead of returning normally.
+TEST(TelemetryExport, EveryExportReportsAFailedWrite) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " does not exist here";
+  const Snapshot snap = live_snapshot();
+  obs::DecisionTrace decisions;
+  decisions.records.resize(8);
+  decisions.recorded = 8;
+
+  const auto expect_write_error = [&](const char* what, const std::function<void()>& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << what << " returned normally";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(full), std::string::npos) << what << ": " << e.what();
+    }
+  };
+  expect_write_error("export_chrome_trace", [&] { export_chrome_trace(full, snap); });
+  expect_write_error("export_metrics_csv", [&] { export_metrics_csv(full, snap); });
+  expect_write_error("export_timeseries_csv", [&] { export_timeseries_csv(full, snap); });
+  expect_write_error("export_spans_csv", [&] { export_spans_csv(full, snap); });
+  expect_write_error("export_decisions_csv",
+                     [&] { obs::export_decisions_csv(full, decisions); });
+  expect_write_error("export_chrome_trace_with_decisions",
+                     [&] { obs::export_chrome_trace_with_decisions(full, snap, decisions); });
+  expect_write_error("timeline_csv_path", [&] {
+    trace::SyntheticSpec spec;
+    spec.files = 100;
+    spec.requests = 500;
+    const auto tr = trace::generate(spec);
+    core::SimConfig cfg;
+    cfg.nodes = 4;
+    cfg.timeline_csv_path = full;
+    core::ClusterSimulation sim(cfg, tr, std::make_unique<policy::L2sPolicy>());
+    (void)sim.run();
+  });
 }
 
 }  // namespace

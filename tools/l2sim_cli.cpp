@@ -15,7 +15,6 @@
 //   l2sim figure --paper calgary [--scale S] [--csv DIR] [--threads T]
 //
 // Every command prints a human-readable table; figures can also emit CSV.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -228,18 +227,6 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const auto comma = csv.find(',', pos);
-    out.push_back(std::atof(csv.substr(pos, comma - pos).c_str()));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 // plan: score a {nodes x cache} sweep grid on the analytic surface and
 // print every cell ranked by predicted interest, then the top-K as
 // ready-to-run `l2sim run` command lines — the DES budget goes where the
@@ -255,12 +242,8 @@ int cmd_plan(const Args& args) {
   base.model.replication = args.get_double("replication", 0.15);
 
   analytic::PlanAxes axes;
-  if (args.has("nodes")) {
-    axes.node_counts.clear();
-    for (const double v : parse_list(args.get("nodes")))
-      axes.node_counts.push_back(static_cast<int>(v));
-  }
-  if (args.has("cache-mib")) axes.cache_mib = parse_list(args.get("cache-mib"));
+  if (args.has("nodes")) axes.node_counts = args.get_int_list("nodes");
+  if (args.has("cache-mib")) axes.cache_mib = args.get_double_list("cache-mib");
 
   analytic::PlanWeights weights;
   weights.knee = args.get_double("knee", weights.knee);
@@ -357,11 +340,8 @@ int cmd_run(const Args& args) {
         static_cast<std::uint64_t>(args.get_int("span-sample", 64));
   }
   if (args.has("fail")) {
-    const std::string fail = args.get("fail");
-    const auto at = fail.find('@');
-    if (at == std::string::npos) throw Error("--fail expects NODE@SECONDS");
-    cfg.fault_plan.crashes.push_back(
-        {std::atoi(fail.substr(0, at).c_str()), std::atof(fail.substr(at + 1).c_str())});
+    const auto [node, at] = args.get_int_at_double("fail");
+    cfg.fault_plan.crashes.push_back({node, at});
   }
   spec.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
   const std::string pname = args.get("policy", "l2s");
@@ -430,11 +410,8 @@ int cmd_diff(const Args& args) {
   cfg.arrival.dns_entry_skew = args.get_double("skew", 0.0);
   core::apply_overload_cli(args, base);
   if (args.has("fail")) {
-    const std::string fail = args.get("fail");
-    const auto at = fail.find('@');
-    if (at == std::string::npos) throw Error("--fail expects NODE@SECONDS");
-    cfg.fault_plan.crashes.push_back(
-        {std::atoi(fail.substr(0, at).c_str()), std::atof(fail.substr(at + 1).c_str())});
+    const auto [node, at] = args.get_int_at_double("fail");
+    cfg.fault_plan.crashes.push_back({node, at});
   }
   base.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
   base.policy = policy_kind_by_name(args.get("policy", "l2s"));
