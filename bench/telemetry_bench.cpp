@@ -9,8 +9,9 @@
 //   off      telemetry.enabled = false — the null-object path; the only
 //            residual cost is the event stream's emit points themselves,
 //            which are part of the baseline by construction.
-//   counters telemetry on, probe off, span sampling off: registry counter
-//            and histogram bumps only. Gate: <= 1% over `off`.
+//   counters telemetry on, probe off, span sampling off: the completion
+//            cuts' counter bumps and the snapshot's copy of the
+//            collector's tally only. Gate: <= 1% over `off`.
 //   span64   telemetry on, probe on, 1-in-64 span sampling — the
 //            recommended production configuration. Gate: <= 5% over `off`.
 //   span1    every span recorded (full capture). Informational, no gate —

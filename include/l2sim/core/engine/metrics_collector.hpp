@@ -1,8 +1,10 @@
 // MetricsCollector: the measured-pass statistics of a run, a fold over the
 // engine's lifecycle event stream (LifecycleObserver::on_event), so the
-// engine components carry no counters of their own. Also owns the periodic
-// load sampler (imbalance statistics + optional per-node timeline CSV) and
-// assembles the final SimResult.
+// engine components carry no counters of their own. It is the run's one
+// outcome tally: SimTelemetry publishes its counts, response histogram and
+// goodput series rather than counting the stream again. Also owns the
+// periodic load sampler (imbalance statistics + optional per-node timeline
+// CSV) and assembles the final SimResult.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +16,29 @@
 #include "l2sim/fault/detector.hpp"
 #include "l2sim/stats/accumulator.hpp"
 #include "l2sim/stats/availability.hpp"
-#include "l2sim/stats/histogram.hpp"
+#include "l2sim/telemetry/metrics.hpp"
 
 namespace l2s::core::engine {
+
+/// Request outcomes of the measured pass, counted once.
+struct OutcomeTally {
+  std::uint64_t completed = 0;
+  std::uint64_t connections = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t remote_fetches = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t failed_deadline = 0;
+  std::uint64_t failed_retries = 0;
+  std::uint64_t failed_rejected = 0;
+  std::uint64_t failed_shed = 0;
+  std::uint64_t completed_after_retry = 0;
+  std::uint64_t retry_attempts = 0;
+  std::uint64_t hedge_attempts = 0;
+  std::uint64_t brownout_transitions = 0;
+  int brownout_level = 0;
+  telemetry::Histogram response_ms;  ///< first arrival to completion
+};
 
 class MetricsCollector final : public LifecycleObserver {
  public:
@@ -40,30 +62,20 @@ class MetricsCollector final : public LifecycleObserver {
 
   void on_event(const obs::DecisionRecord& record, const cluster::Connection* conn) override;
 
+  [[nodiscard]] const OutcomeTally& tally() const { return tally_; }
+  [[nodiscard]] const stats::AvailabilityTracker& availability() const {
+    return availability_;
+  }
+
  private:
   void sample_loads();
   void count_failure(std::uint64_t& bucket, SimTime now);
 
   EngineContext& ctx_;
 
-  std::uint64_t completed_ = 0;
-  std::uint64_t connections_ = 0;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t remote_fetches_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t failed_deadline_ = 0;
-  std::uint64_t failed_retries_ = 0;
-  std::uint64_t failed_rejected_ = 0;
-  std::uint64_t failed_shed_ = 0;
-  std::uint64_t completed_after_retry_ = 0;
-  std::uint64_t retry_attempts_ = 0;
-  std::uint64_t hedge_attempts_ = 0;
-  std::uint64_t brownout_transitions_ = 0;
-  int brownout_level_ = 0;
+  OutcomeTally tally_;
   stats::AvailabilityTracker availability_;
   stats::Accumulator response_times_;
-  stats::LogHistogram response_hist_{0.01, 1.3, 64};  ///< ms buckets
   stats::Accumulator stage_entry_;
   stats::Accumulator stage_forward_;
   stats::Accumulator stage_disk_;

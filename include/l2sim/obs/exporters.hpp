@@ -23,6 +23,10 @@ namespace l2s::obs {
 void write_decisions_csv(std::ostream& out, const DecisionTrace& trace);
 void export_decisions_csv(const std::string& path, const DecisionTrace& trace);
 
+/// One line saying what the bounded ring kept:
+/// "decisions: kept K of N recorded (D dropped, ring capacity C)".
+void write_decisions_summary(std::ostream& out, const DecisionTrace& trace);
+
 /// Pre-rendered Chrome trace-event JSON objects for every retained record:
 /// an instant event on the deciding node's process (the same pid the
 /// telemetry span tracks use, so decisions land between the spans they

@@ -13,10 +13,22 @@
 #include "l2sim/cluster/node.hpp"
 #include "l2sim/des/scheduler.hpp"
 #include "l2sim/net/via.hpp"
-#include "l2sim/stats/counter_set.hpp"
 #include "l2sim/trace/trace.hpp"
 
 namespace l2s::policy {
+
+/// Policy-level counters: broadcasts sent, server-set changes, dispatcher
+/// traffic. Each policy bumps the fields it has; the rest stay zero.
+struct PolicyCounters {
+  std::uint64_t load_broadcasts = 0;
+  std::uint64_t locality_broadcasts = 0;
+  std::uint64_t set_create = 0;
+  std::uint64_t set_grow = 0;
+  std::uint64_t set_shrink = 0;
+  std::uint64_t load_updates = 0;
+  std::uint64_t dispatcher_queries = 0;
+  std::uint64_t front_end_failover = 0;
+};
 
 /// Everything a policy may touch. Owned by the simulation; valid for the
 /// policy's lifetime after attach().
@@ -109,12 +121,11 @@ class Policy {
   /// — a policy that ignores brownout just keeps paying forwarding costs.
   virtual void on_brownout(int level);
 
-  /// Policy-level counters (broadcasts sent, set changes, ...).
-  [[nodiscard]] const stats::CounterSet& counters() const { return counters_; }
-  void reset_counters() { counters_.reset(); }
+  [[nodiscard]] const PolicyCounters& counters() const { return counters_; }
+  void reset_counters() { counters_ = {}; }
 
  protected:
-  stats::CounterSet counters_;
+  PolicyCounters counters_;
 };
 
 }  // namespace l2s::policy

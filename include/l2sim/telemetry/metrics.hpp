@@ -1,4 +1,4 @@
-// Telemetry metric value types: counters, gauges, log-scale histograms and
+// Telemetry metric value types: counters, gauges, log-linear histograms and
 // two time-series shapes (bucketed counters and point samples). They are
 // plain value classes — usable standalone (stats::AvailabilityTracker keeps
 // its goodput timeline in a BucketSeries) or named and labeled inside a
@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,42 +52,32 @@ class Gauge {
   std::uint64_t count_ = 0;
 };
 
-/// Geometric bucket boundaries [0, base), [base, base*growth), ...; the
-/// final bucket is an overflow catch-all (same shape as stats::LogHistogram
-/// but mergeable bucket-by-bucket).
-struct HistogramParams {
-  double base = 0.01;
-  double growth = 1.3;
-  std::size_t buckets = 64;
-};
-
-/// The q-quantile of `total` values counted in `buckets` shaped by
-/// `params`: the lower bound of the bucket holding the value of rank
-/// floor(q * (total - 1)). Histogram::quantile and the exporters (which
-/// hold a snapshot's bucket copy) both call this one walk.
-[[nodiscard]] double bucket_quantile(const HistogramParams& params,
-                                     const std::vector<std::uint64_t>& buckets,
-                                     std::uint64_t total, double q);
-
+/// Log-linear histogram of finite values. Every power of two is split into
+/// 128 equal sub-buckets, so a bucket is at most 1/128 of its lower bound
+/// wide. Buckets start at 2^-20 (about a nanosecond, in milliseconds;
+/// smaller values, zero included, share the first bucket) and the bucket
+/// array grows to the largest value seen. Count, min and max are exact.
+///
+/// quantile(q) is the value of nearest rank r = ceil(q * n): rank 1 is the
+/// minimum and rank n the maximum, both exact. Any other rank is placed
+/// among its bucket's values as if they were spread evenly across the
+/// bucket, then clamped to [min, max], so it lies within 1% of the exact
+/// order statistic.
 class Histogram {
  public:
-  explicit Histogram(HistogramParams params = {});
-
   void add(double value);
   [[nodiscard]] std::uint64_t count() const { return total_; }
-  [[nodiscard]] const HistogramParams& params() const { return params_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  [[nodiscard]] double bucket_lower_bound(std::size_t i) const;
   [[nodiscard]] double quantile(double q) const;
-  /// Bucket-wise sum; both histograms must share the same parameters.
+  /// Bucket-wise sum: the merge answers exactly what one histogram fed
+  /// both inputs would.
   void merge(const Histogram& other);
   void reset();
 
  private:
-  HistogramParams params_;
-  double inv_log_growth_ = 1.0;        // 1 / log(growth), for O(1) bucket lookup
-  std::vector<std::uint64_t> counts_;  // last bucket = overflow
+  std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Fixed-interval bucketed accumulator over simulated time: bump(t) adds

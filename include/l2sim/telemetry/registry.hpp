@@ -46,8 +46,7 @@ struct MetricSnapshot {
   double min = 0.0;         ///< gauge min
   double max = 0.0;         ///< gauge max
 
-  HistogramParams histogram_params;
-  std::vector<std::uint64_t> histogram_buckets;
+  Histogram histogram;  ///< histogram copy (quantiles, merge)
 
   SimTime series_start = 0;     ///< bucket series timebase
   SimTime series_interval = 0;  ///< 0 = never begun
@@ -92,8 +91,7 @@ class Registry {
   /// different kinds throws.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name, const Labels& labels = {},
-                       HistogramParams params = {});
+  Histogram& histogram(const std::string& name, const Labels& labels = {});
   BucketSeries& bucket_series(const std::string& name, const Labels& labels = {});
   SampleSeries& sample_series(const std::string& name, const Labels& labels = {});
 

@@ -1,10 +1,13 @@
 // SimTelemetry: the bridge between the simulation engine and the
 // telemetry subsystem. It is one more sink on the engine's lifecycle event
 // stream — the engine neither knows nor cares that it exists — and owns
-// the run's Registry, SpanRecorder and TimelineProbe. The coordinator
-// registers it only when TelemetryConfig::enabled is set, which is the
-// whole null-object story: disabled telemetry is not a cheap code path,
-// it is no code path.
+// the run's Registry, SpanRecorder and TimelineProbe. Request outcomes are
+// counted once, by the run's MetricsCollector: SimTelemetry publishes that
+// tally at snapshot and folds only what the collector does not count
+// (completion cuts, per-cause overload counters, spans, fault events). The
+// coordinator registers it only when TelemetryConfig::enabled is set,
+// which is the whole null-object story: disabled telemetry is not a cheap
+// code path, it is no code path.
 //
 // Observation is strictly passive: handlers read engine state (connection
 // timestamps, node counters) and write telemetry state; they draw no
@@ -21,15 +24,19 @@
 #include "l2sim/telemetry/registry.hpp"
 #include "l2sim/telemetry/span.hpp"
 
+namespace l2s::core::engine {
+class MetricsCollector;
+}  // namespace l2s::core::engine
+
 namespace l2s::telemetry {
 
 class SimTelemetry final : public core::engine::LifecycleObserver {
  public:
-  SimTelemetry(const core::engine::EngineContext& ctx, const TelemetryConfig& config);
+  /// `tally` is the run's collector; it must outlive this object.
+  SimTelemetry(const core::engine::EngineContext& ctx, const TelemetryConfig& config,
+               const core::engine::MetricsCollector& tally);
 
-  /// Arm the measured pass: anchors the probe's utilization differentiation
-  /// and the goodput bucket series (interval from
-  /// SimConfig::goodput_interval_seconds; 0 keeps that series off).
+  /// Arm the measured pass: anchors the probe's utilization differentiation.
   void begin_measurement(SimTime measure_start);
 
   /// End of warm-up: drop everything observed so far, keep registrations.
@@ -38,20 +45,25 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
   [[nodiscard]] Registry& registry() { return registry_; }
   [[nodiscard]] const SpanRecorder& spans() const { return spans_; }
 
-  /// Detach the run's telemetry: registry metrics + sampled spans + fault
-  /// timeline, ready for exporters or cross-job merging.
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Publish the collector's tally, then detach the run's telemetry:
+  /// registry metrics + sampled spans + fault timeline, ready for
+  /// exporters or cross-job merging.
+  [[nodiscard]] Snapshot snapshot();
 
   void on_event(const obs::DecisionRecord& record, const cluster::Connection* conn) override;
   void on_load_sample(SimTime now) override;
 
  private:
+  /// Write the collector's tally into the registry under the telemetry
+  /// names. The first call (from the constructor) fixes their order.
+  void publish_tally();
   /// Span of a sampled request that ended (completed or failed) at `end`.
   void record_span(const cluster::Connection& conn, SpanVerdict verdict, SimTime end);
   void record_fault(FaultEvent::Kind kind, const obs::DecisionRecord& record);
 
   const core::engine::EngineContext& ctx_;
   TelemetryConfig config_;
+  const core::engine::MetricsCollector& tally_;
   Registry registry_;
   SpanRecorder spans_;
   std::unique_ptr<TimelineProbe> probe_;
@@ -59,22 +71,8 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
   std::uint32_t fault_epoch_ = 0;
 
   // Cached handles into registry_ (stable for the registry's lifetime).
-  Counter* completed_ = nullptr;
   Counter* completed_hits_ = nullptr;
   Counter* completed_forwarded_ = nullptr;
-  Counter* failed_deadline_ = nullptr;
-  Counter* failed_retries_ = nullptr;
-  Counter* failed_rejected_ = nullptr;
-  Counter* failed_shed_ = nullptr;
-  Counter* retries_ = nullptr;
-  Counter* hedges_ = nullptr;
-  Counter* brownout_transitions_ = nullptr;
-  Counter* forwards_ = nullptr;
-  Counter* migrations_ = nullptr;
-  Counter* remote_fetches_ = nullptr;
-  Histogram* response_ms_ = nullptr;
-  BucketSeries* goodput_completed_ = nullptr;
-  BucketSeries* goodput_failed_ = nullptr;
 };
 
 }  // namespace l2s::telemetry

@@ -61,48 +61,49 @@ void MetricsCollector::sample_loads() {
 void MetricsCollector::on_event(const obs::DecisionRecord& record,
                                 const cluster::Connection* conn) {
   const SimTime now = record.time;
+  OutcomeTally& t = tally_;
   switch (record.kind) {
     case obs::DecisionKind::kDispatch:
-      if (record.cause == obs::DecisionCause::kForwardService) ++forwarded_;
+      if (record.cause == obs::DecisionCause::kForwardService) ++t.forwarded;
       break;
     case obs::DecisionKind::kMigrate:
-      ++migrations_;
-      ++forwarded_;
+      ++t.migrations;
+      ++t.forwarded;
       break;
     case obs::DecisionKind::kRemoteFetch:
-      ++remote_fetches_;
-      ++forwarded_;
+      ++t.remote_fetches;
+      ++t.forwarded;
       break;
     case obs::DecisionKind::kComplete: {
-      ++completed_;
-      if (conn->retries_used > 0) ++completed_after_retry_;
+      ++t.completed;
+      if (conn->retries_used > 0) ++t.completed_after_retry;
       availability_.record_completion(now);
       // Client-perceived latency spans every attempt, from the first arrival.
       const double response_ms = simtime_to_seconds(now - conn->first_arrival) * 1e3;
       response_times_.add(response_ms);
-      response_hist_.add(response_ms);
+      t.response_ms.add(response_ms);
       stage_entry_.add(simtime_ms(conn->t_decided - conn->arrival));
       stage_forward_.add(simtime_ms(conn->t_service - conn->t_decided));
       stage_disk_.add(simtime_ms(conn->t_disk_done - conn->t_service));
       stage_reply_.add(simtime_ms(now - conn->t_disk_done));
       break;
     }
-    case obs::DecisionKind::kClose: ++connections_; break;
+    case obs::DecisionKind::kClose: ++t.connections; break;
     case obs::DecisionKind::kFailure:
-      count_failure(record.cause == obs::DecisionCause::kDeadlineExpired ? failed_deadline_
-                                                                         : failed_retries_,
+      count_failure(record.cause == obs::DecisionCause::kDeadlineExpired ? t.failed_deadline
+                                                                         : t.failed_retries,
                     now);
       break;
-    case obs::DecisionKind::kReject: count_failure(failed_rejected_, now); break;
-    case obs::DecisionKind::kShed: count_failure(failed_shed_, now); break;
+    case obs::DecisionKind::kReject: count_failure(t.failed_rejected, now); break;
+    case obs::DecisionKind::kShed: count_failure(t.failed_shed, now); break;
     case obs::DecisionKind::kRetry:
-      ++retry_attempts_;
+      ++t.retry_attempts;
       availability_.record_retry();
       break;
-    case obs::DecisionKind::kHedge: ++hedge_attempts_; break;
+    case obs::DecisionKind::kHedge: ++t.hedge_attempts; break;
     case obs::DecisionKind::kBrownout:
-      ++brownout_transitions_;
-      brownout_level_ = static_cast<int>(record.detail);
+      ++t.brownout_transitions;
+      t.brownout_level = static_cast<int>(record.detail);
       break;
     case obs::DecisionKind::kBudgetDeny: break;
     case obs::DecisionKind::kNodeCrash: availability_.record_crash(record.node, now); break;
@@ -117,29 +118,14 @@ void MetricsCollector::on_event(const obs::DecisionRecord& record,
 }
 
 void MetricsCollector::count_failure(std::uint64_t& bucket, SimTime now) {
-  ++failed_;
+  ++tally_.failed;
   ++bucket;
   availability_.record_failure(now);
 }
 
 void MetricsCollector::reset() {
-  completed_ = 0;
-  connections_ = 0;
-  forwarded_ = 0;
-  migrations_ = 0;
-  remote_fetches_ = 0;
-  failed_ = 0;
-  failed_deadline_ = 0;
-  failed_retries_ = 0;
-  failed_rejected_ = 0;
-  failed_shed_ = 0;
-  completed_after_retry_ = 0;
-  retry_attempts_ = 0;
-  hedge_attempts_ = 0;
-  brownout_transitions_ = 0;
-  brownout_level_ = 0;
+  tally_ = {};
   response_times_.reset();
-  response_hist_ = stats::LogHistogram(0.01, 1.3, 64);
   stage_entry_.reset();
   stage_forward_.reset();
   stage_disk_.reset();
@@ -156,11 +142,12 @@ SimResult MetricsCollector::collect(SimTime measure_start,
   r.policy = ctx_.policy->name();
   r.trace = ctx_.trace->name();
   r.nodes = ctx_.cfg().nodes;
-  r.completed = completed_;
+  const OutcomeTally& t = tally_;
+  r.completed = t.completed;
   const SimTime elapsed = ctx_.now() - measure_start;
   r.elapsed_seconds = simtime_to_seconds(elapsed);
   r.throughput_rps =
-      r.elapsed_seconds > 0.0 ? static_cast<double>(completed_) / r.elapsed_seconds : 0.0;
+      r.elapsed_seconds > 0.0 ? static_cast<double>(t.completed) / r.elapsed_seconds : 0.0;
 
   cache::CacheStats cache_totals;
   double idle_sum = 0.0;
@@ -174,27 +161,27 @@ SimResult MetricsCollector::collect(SimTime measure_start,
   r.miss_rate = cache_totals.miss_rate();
   r.cpu_idle_fraction = idle_sum / static_cast<double>(ctx_.cfg().nodes);
 
-  r.forwarded = forwarded_;
+  r.forwarded = t.forwarded;
   r.forwarded_fraction =
-      completed_ == 0 ? 0.0
-                      : static_cast<double>(forwarded_) / static_cast<double>(completed_);
-  r.connections = connections_;
-  r.migrations = migrations_;
-  r.remote_fetches = remote_fetches_;
-  r.failed = failed_;
-  r.failed_deadline = failed_deadline_;
-  r.failed_retries_exhausted = failed_retries_;
-  r.failed_rejected = failed_rejected_;
-  r.failed_shed = failed_shed_;
-  r.completed_after_retry = completed_after_retry_;
-  r.retry_attempts = retry_attempts_;
-  r.hedge_attempts = hedge_attempts_;
-  r.brownout_transitions = brownout_transitions_;
-  r.brownout_final_level = brownout_level_;
-  const std::uint64_t requests = completed_ + failed_;
+      t.completed == 0 ? 0.0
+                       : static_cast<double>(t.forwarded) / static_cast<double>(t.completed);
+  r.connections = t.connections;
+  r.migrations = t.migrations;
+  r.remote_fetches = t.remote_fetches;
+  r.failed = t.failed;
+  r.failed_deadline = t.failed_deadline;
+  r.failed_retries_exhausted = t.failed_retries;
+  r.failed_rejected = t.failed_rejected;
+  r.failed_shed = t.failed_shed;
+  r.completed_after_retry = t.completed_after_retry;
+  r.retry_attempts = t.retry_attempts;
+  r.hedge_attempts = t.hedge_attempts;
+  r.brownout_transitions = t.brownout_transitions;
+  r.brownout_final_level = t.brownout_level;
+  const std::uint64_t requests = t.completed + t.failed;
   r.retry_amplification =
       requests > 0
-          ? static_cast<double>(requests + retry_attempts_) / static_cast<double>(requests)
+          ? static_cast<double>(requests + t.retry_attempts) / static_cast<double>(requests)
           : 0.0;
   r.via_dropped = ctx_.via->messages_dropped();
   r.via_duplicated = ctx_.via->messages_duplicated();
@@ -210,9 +197,9 @@ SimResult MetricsCollector::collect(SimTime measure_start,
   if (response_times_.count() > 0) {
     r.mean_response_ms = response_times_.mean();
     r.max_response_ms = response_times_.max();
-    r.p50_response_ms = response_hist_.quantile(0.50);
-    r.p95_response_ms = response_hist_.quantile(0.95);
-    r.p99_response_ms = response_hist_.quantile(0.99);
+    r.p50_response_ms = t.response_ms.quantile(0.50);
+    r.p95_response_ms = t.response_ms.quantile(0.95);
+    r.p99_response_ms = t.response_ms.quantile(0.99);
     r.stage_entry_ms = stage_entry_.mean();
     r.stage_forward_ms = stage_forward_.mean();
     r.stage_disk_ms = stage_disk_.mean();
@@ -223,11 +210,9 @@ SimResult MetricsCollector::collect(SimTime measure_start,
     r.load_max_over_mean = load_max_mean_.mean();
   }
   r.via_messages = ctx_.via->messages_sent();
-  r.load_broadcasts = ctx_.policy->counters().get("load_broadcasts");
-  r.locality_broadcasts = ctx_.policy->counters().get("locality_broadcasts") +
-                          ctx_.policy->counters().get("set_create") +
-                          ctx_.policy->counters().get("set_grow") +
-                          ctx_.policy->counters().get("set_shrink");
+  const policy::PolicyCounters& pc = ctx_.policy->counters();
+  r.load_broadcasts = pc.load_broadcasts;
+  r.locality_broadcasts = pc.locality_broadcasts + pc.set_create + pc.set_grow + pc.set_shrink;
   return r;
 }
 

@@ -94,7 +94,8 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   ctx_.overload = overload_.get();
   ctx_.sinks.push_back(metrics_.get());
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<telemetry::SimTelemetry>(ctx_, config_.telemetry);
+    telemetry_ =
+        std::make_unique<telemetry::SimTelemetry>(ctx_, config_.telemetry, *metrics_);
     ctx_.sinks.push_back(telemetry_.get());
   }
   if (config_.obs.active()) {

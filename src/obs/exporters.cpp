@@ -29,6 +29,17 @@ void write_decisions_csv(std::ostream& out, const DecisionTrace& trace) {
   }
 }
 
+void write_decisions_summary(std::ostream& out, const DecisionTrace& trace) {
+  out << "decisions: kept " << trace.records.size() << " of " << trace.recorded
+      << " recorded (" << trace.dropped << " dropped, ring capacity ";
+  if (trace.capacity == 0) {
+    out << "unbounded";
+  } else {
+    out << trace.capacity;
+  }
+  out << ")\n";
+}
+
 std::vector<std::string> decision_chrome_events(const DecisionTrace& trace) {
   std::vector<std::string> events;
   events.reserve(trace.records.size());

@@ -129,7 +129,7 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
     chosen = me.view.get(entry) <= T ? entry : pick_low_all(me.view);
     me.sets.add(file, chosen, now);
     set_changed = true;
-    counters_.add("set_create");
+    ++counters_.set_create;
   } else {
     const int least_member = pick_low(me.view, set);
     const bool entry_caches = std::find(set.begin(), set.end(), entry) != set.end();
@@ -158,7 +158,7 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
         chosen = spare;
         me.sets.add(file, chosen, now);
         set_changed = true;
-        counters_.add("set_grow");
+        ++counters_.set_grow;
       } else {
         chosen = least_member;
       }
@@ -172,7 +172,7 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
       if (victim != chosen) {
         me.sets.remove(file, victim, now);
         set_changed = true;
-        counters_.add("set_shrink");
+        ++counters_.set_shrink;
       }
     }
   }
@@ -206,14 +206,14 @@ void L2sPolicy::maybe_broadcast_load(int node) {
   NodeState& st = state(node);
   st.view.set(node, load);
   if (!st.throttle.should_broadcast(load)) return;
-  counters_.add("load_broadcasts");
+  ++counters_.load_broadcasts;
   ctx_.via->broadcast(node, ctx_.control_msg_bytes, [this, node, load](int dst) {
     state(dst).view.set(node, load);
   });
 }
 
 void L2sPolicy::broadcast_set_change(int origin, storage::FileId file) {
-  counters_.add("locality_broadcasts");
+  ++counters_.locality_broadcasts;
   // The new membership is immutable: every receiver adopts the origin's
   // own list on delivery, and a later change anywhere builds a new one.
   ctx_.via->broadcast(origin, ctx_.control_msg_bytes,

@@ -51,7 +51,7 @@ void LardPolicy::on_node_failed(int node) {
     view_.set(node, kDeadLoad);
     front_end_ = promoted;
     view_.set(promoted, kDeadLoad);
-    counters_.add("front_end_failover");
+    ++counters_.front_end_failover;
     return;
   }
   // An unreachable back-end looks infinitely loaded, so neither the
@@ -109,7 +109,7 @@ int LardPolicy::decide(const trace::Request& r) {
   if (set.empty()) {
     chosen = least_loaded_backend();
     sets_.add(file, chosen, now);
-    counters_.add("set_create");
+    ++counters_.set_create;
   } else {
     chosen = view_.least_loaded_of(set);
     // Brownout freezes replication churn: no set growth (which would pull
@@ -123,7 +123,7 @@ int LardPolicy::decide(const trace::Request& r) {
       const int extra = least_loaded_backend();
       if (!sets_.contains(file, extra)) {
         sets_.add(file, extra, now);
-        counters_.add("set_grow");
+        ++counters_.set_grow;
       }
       chosen = extra;
     } else if (brownout_level_ < 1 && set.size() > 1 &&
@@ -132,7 +132,7 @@ int LardPolicy::decide(const trace::Request& r) {
       const int victim = view_.most_loaded_of(set);
       if (victim != chosen) {
         sets_.remove(file, victim, now);
-        counters_.add("set_shrink");
+        ++counters_.set_shrink;
       }
     }
   }
@@ -159,7 +159,7 @@ void LardPolicy::record_termination(int node) {
   if (++pending < params_.update_batch) return;
   const int batch = pending;
   pending = 0;
-  counters_.add("load_updates");
+  ++counters_.load_updates;
   ctx_.via->send(node, front_end_, ctx_.control_msg_bytes,
                  [this, node, batch]() { view_.adjust(node, -batch); });
 }

@@ -62,7 +62,7 @@ int LardDispatcherPolicy::decide(const trace::Request& r) {
   if (set.empty()) {
     chosen = least_loaded_server();
     sets_.add(file, chosen, now);
-    counters_.add("set_create");
+    ++counters_.set_create;
   } else {
     chosen = view_.least_loaded_of(set);
     const bool overloaded =
@@ -72,14 +72,14 @@ int LardDispatcherPolicy::decide(const trace::Request& r) {
       const int extra = least_loaded_server();
       if (!sets_.contains(file, extra)) {
         sets_.add(file, extra, now);
-        counters_.add("set_grow");
+        ++counters_.set_grow;
       }
       chosen = extra;
     } else if (set.size() > 1 && now - sets_.last_modified(file) > shrink_ns_) {
       const int victim = view_.most_loaded_of(set);
       if (victim != chosen) {
         sets_.remove(file, victim, now);
-        counters_.add("set_shrink");
+        ++counters_.set_shrink;
       }
     }
   }
@@ -106,7 +106,7 @@ void LardDispatcherPolicy::select_service_node_async(int entry, const trace::Req
   }
   // Two-way query: entry -> dispatcher (VIA), dispatcher CPU computes the
   // assignment, dispatcher -> entry (VIA), then the entry proceeds.
-  counters_.add("dispatcher_queries");
+  ++counters_.dispatcher_queries;
   const trace::Request request = r;
   ctx_.via->send(entry, dispatcher(), ctx_.control_msg_bytes,
                  [this, entry, request, done = std::move(done)]() mutable {
@@ -141,7 +141,7 @@ void LardDispatcherPolicy::on_complete(int node, const trace::Request& /*r*/) {
   if (++pending < params_.update_batch) return;
   const int batch = pending;
   pending = 0;
-  counters_.add("load_updates");
+  ++counters_.load_updates;
   ctx_.via->send(node, dispatcher(), ctx_.control_msg_bytes,
                  [this, node, batch]() { view_.adjust(node, -batch); });
 }

@@ -63,12 +63,6 @@ namespace {
   return -1;
 }
 
-/// Quantile over a snapshot's histogram buckets.
-[[nodiscard]] double snapshot_quantile(const MetricSnapshot& m, double q) {
-  if (m.kind != MetricKind::kHistogram) return 0.0;
-  return bucket_quantile(m.histogram_params, m.histogram_buckets, m.count, q);
-}
-
 class JsonEventWriter {
  public:
   explicit JsonEventWriter(std::ostream& out) : out_(out) {}
@@ -182,8 +176,8 @@ void write_metrics_csv(std::ostream& out, const Snapshot& snapshot) {
         out << m.value << ',' << m.min << ',' << m.max << ",,,";
         break;
       case MetricKind::kHistogram:
-        out << ",,," << snapshot_quantile(m, 0.50) << ',' << snapshot_quantile(m, 0.95)
-            << ',' << snapshot_quantile(m, 0.99);
+        out << ",,," << m.histogram.quantile(0.50) << ',' << m.histogram.quantile(0.95)
+            << ',' << m.histogram.quantile(0.99);
         break;
       default:
         break;
@@ -239,9 +233,9 @@ void write_summary(std::ostream& out, const Snapshot& snapshot) {
 
   if (const MetricSnapshot* h = snapshot.find("requests.response_ms"); h != nullptr) {
     TextTable latency({"Response time", "ms"});
-    latency.cell("p50").cell(snapshot_quantile(*h, 0.50), 3).end_row();
-    latency.cell("p95").cell(snapshot_quantile(*h, 0.95), 3).end_row();
-    latency.cell("p99").cell(snapshot_quantile(*h, 0.99), 3).end_row();
+    latency.cell("p50").cell(h->histogram.quantile(0.50), 3).end_row();
+    latency.cell("p95").cell(h->histogram.quantile(0.95), 3).end_row();
+    latency.cell("p99").cell(h->histogram.quantile(0.99), 3).end_row();
     latency.print(out);
     out << '\n';
   }

@@ -1,6 +1,7 @@
 #include "l2sim/telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,78 +38,64 @@ void Gauge::reset() {
   count_ = 0;
 }
 
-Histogram::Histogram(HistogramParams params) : params_(params) {
-  if (params_.buckets < 2) throw std::invalid_argument("Histogram: need >= 2 buckets");
-  if (params_.base <= 0.0 || params_.growth <= 1.0) {
-    throw std::invalid_argument("Histogram: base must be > 0 and growth > 1");
-  }
-  inv_log_growth_ = 1.0 / std::log(params_.growth);
-  counts_.assign(params_.buckets, 0);
+namespace {
+
+// Above its sign bit a positive double holds an 11-bit exponent and then
+// its mantissa, so its bits shifted right by 52 - 7 read
+// exponent * 128 + (the mantissa's leading 7 bits): one key per log-linear
+// bucket, consecutive keys for consecutive buckets.
+constexpr int kKeyShift = 52 - 7;
+constexpr double kFloor = 0x1p-20;
+constexpr std::uint64_t kFloorKey = std::bit_cast<std::uint64_t>(kFloor) >> kKeyShift;
+
+[[nodiscard]] std::size_t bucket_of(double value) {
+  if (value < kFloor) return 0;
+  return static_cast<std::size_t>((std::bit_cast<std::uint64_t>(value) >> kKeyShift) -
+                                  kFloorKey);
 }
+
+/// Lower bound of bucket i; bucket i spans [lower_bound(i), lower_bound(i + 1)).
+[[nodiscard]] double lower_bound(std::size_t i) {
+  return std::bit_cast<double>((kFloorKey + i) << kKeyShift);
+}
+
+}  // namespace
 
 void Histogram::add(double value) {
-  // Bucket 0 is [0, base); bucket k >= 1 is [base*g^(k-1), base*g^k); the
-  // last bucket absorbs overflow. add() sits on the per-completion hot path
-  // (telemetry_bench gates it), so the bucket index is one log, not a
-  // multiply ladder over the bucket array.
-  std::size_t i = 0;
-  if (value >= params_.base) {
-    const double x = std::log(value / params_.base) * inv_log_growth_;
-    if (x >= static_cast<double>(counts_.size() - 2)) {
-      i = counts_.size() - 1;
-    } else {
-      i = static_cast<std::size_t>(x) + 1;
-    }
-  }
+  if (!std::isfinite(value)) throw std::invalid_argument("Histogram: non-finite value");
+  const std::size_t i = bucket_of(value);
+  if (i >= counts_.size()) counts_.resize(i + 1, 0);
   ++counts_[i];
   ++total_;
-}
-
-double Histogram::bucket_lower_bound(std::size_t i) const {
-  if (i == 0) return 0.0;
-  double bound = params_.base;
-  for (std::size_t k = 1; k < i; ++k) bound *= params_.growth;
-  return bound;
-}
-
-double bucket_quantile(const HistogramParams& params,
-                       const std::vector<std::uint64_t>& buckets, std::uint64_t total,
-                       double q) {
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total - 1));
-  // Lower bounds by the same repeated multiplication as bucket_lower_bound,
-  // so every quantile is bit-identical to that bound. The last bucket
-  // (overflow) holds whatever rank is left.
-  std::uint64_t seen = 0;
-  double lower = 0.0;
-  double next = params.base;
-  for (std::size_t i = 0; i + 1 < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen > target) return lower;
-    lower = next;
-    next *= params.growth;
-  }
-  return lower;
+  min_ = std::min(min_, value);
+  max_ = std::max(max_, value);
 }
 
 double Histogram::quantile(double q) const {
-  return bucket_quantile(params_, counts_, total_, q);
+  if (total_ == 0) return 0.0;
+  const double n = static_cast<double>(total_);
+  const auto rank = static_cast<std::uint64_t>(std::clamp(std::ceil(q * n), 1.0, n));
+  if (rank == 1) return min_;
+  if (rank == total_) return max_;
+  std::size_t i = 0;
+  std::uint64_t below = 0;
+  while (below + counts_[i] < rank) below += counts_[i++];
+  const double lo = lower_bound(i);
+  const double hi = lower_bound(i + 1);
+  const double place =
+      (static_cast<double>(rank - below) - 0.5) / static_cast<double>(counts_[i]);
+  return std::clamp(lo + (hi - lo) * place, min_, max_);
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.counts_.size() != counts_.size() || other.params_.base != params_.base ||
-      other.params_.growth != params_.growth) {
-    throw std::invalid_argument("Histogram::merge: parameter mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  if (other.counts_.size() > counts_.size()) counts_.resize(other.counts_.size(), 0);
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
 }
 
-void Histogram::reset() {
-  counts_.assign(counts_.size(), 0);
-  total_ = 0;
-}
+void Histogram::reset() { *this = Histogram{}; }
 
 void BucketSeries::begin(SimTime start, SimTime interval) {
   start_ = start;

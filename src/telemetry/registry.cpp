@@ -54,10 +54,8 @@ Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
   return get_or_register(name, labels, MetricKind::kGauge, gauges_, Gauge{});
 }
 
-Histogram& Registry::histogram(const std::string& name, const Labels& labels,
-                               HistogramParams params) {
-  return get_or_register(name, labels, MetricKind::kHistogram, histograms_,
-                         Histogram{params});
+Histogram& Registry::histogram(const std::string& name, const Labels& labels) {
+  return get_or_register(name, labels, MetricKind::kHistogram, histograms_, Histogram{});
 }
 
 BucketSeries& Registry::bucket_series(const std::string& name, const Labels& labels) {
@@ -94,8 +92,7 @@ Snapshot Registry::snapshot() const {
       case MetricKind::kHistogram: {
         const Histogram& h = histograms_[entry.index];
         m.count = h.count();
-        m.histogram_params = h.params();
-        m.histogram_buckets = h.buckets();
+        m.histogram = h;
         break;
       }
       case MetricKind::kBucketSeries: {
@@ -178,17 +175,10 @@ void Snapshot::merge(const Snapshot& other) {
           mine->count += theirs.count;
         }
         break;
-      case MetricKind::kHistogram: {
-        if (mine->histogram_buckets.size() != theirs.histogram_buckets.size()) {
-          throw std::invalid_argument("Snapshot::merge: histogram shape mismatch for '" +
-                                      theirs.name + "'");
-        }
-        for (std::size_t i = 0; i < mine->histogram_buckets.size(); ++i) {
-          mine->histogram_buckets[i] += theirs.histogram_buckets[i];
-        }
-        mine->count += theirs.count;
+      case MetricKind::kHistogram:
+        mine->histogram.merge(theirs.histogram);
+        mine->count = mine->histogram.count();
         break;
-      }
       case MetricKind::kBucketSeries: {
         if (mine->series_interval == 0) {
           mine->series_start = theirs.series_start;

@@ -1,13 +1,15 @@
 #include "l2sim/telemetry/sim_telemetry.hpp"
 
-#include "l2sim/common/error.hpp"
+#include "l2sim/core/engine/metrics_collector.hpp"
 
 namespace l2s::telemetry {
 
 SimTelemetry::SimTelemetry(const core::engine::EngineContext& ctx,
-                           const TelemetryConfig& config)
+                           const TelemetryConfig& config,
+                           const core::engine::MetricsCollector& tally)
     : ctx_(ctx),
       config_(config),
+      tally_(tally),
       // sample_every 0 means "no spans": keep the recorder constructible and
       // gate recording on config_.span_sample_every instead.
       spans_(config.span_capacity, config.span_sample_every == 0 ? 1 : config.span_sample_every) {
@@ -15,30 +17,38 @@ SimTelemetry::SimTelemetry(const core::engine::EngineContext& ctx,
   if (config_.probe) {
     probe_ = std::make_unique<TimelineProbe>(registry_, ctx_.cfg().nodes);
   }
-  completed_ = &registry_.counter("requests.completed");
+  publish_tally();
+}
+
+void SimTelemetry::publish_tally() {
+  const core::engine::OutcomeTally& t = tally_.tally();
+  const auto publish = [this](const std::string& name, const Labels& labels,
+                              std::uint64_t value) {
+    Counter& counter = registry_.counter(name, labels);
+    counter.reset();
+    counter.add(value);
+  };
+  publish("requests.completed", {}, t.completed);
+  // The completion cuts are counted here, in on_event; they keep their
+  // place in the export order.
   completed_hits_ = &registry_.counter("requests.completed", {{"cache", "hit"}});
   completed_forwarded_ = &registry_.counter("requests.completed", {{"path", "forwarded"}});
-  failed_deadline_ = &registry_.counter("requests.failed", {{"reason", "deadline"}});
-  failed_retries_ = &registry_.counter("requests.failed", {{"reason", "retries"}});
-  failed_rejected_ = &registry_.counter("requests.failed", {{"reason", "rejected"}});
-  failed_shed_ = &registry_.counter("requests.failed", {{"reason", "shed"}});
-  retries_ = &registry_.counter("requests.retries_scheduled");
-  hedges_ = &registry_.counter("requests.hedges");
-  brownout_transitions_ = &registry_.counter("overload.brownout_transitions");
-  forwards_ = &registry_.counter("cluster.forwards");
-  migrations_ = &registry_.counter("cluster.migrations");
-  remote_fetches_ = &registry_.counter("cluster.remote_fetches");
-  response_ms_ = &registry_.histogram("requests.response_ms");
-  goodput_completed_ = &registry_.bucket_series("goodput.completed");
-  goodput_failed_ = &registry_.bucket_series("goodput.failed");
+  publish("requests.failed", {{"reason", "deadline"}}, t.failed_deadline);
+  publish("requests.failed", {{"reason", "retries"}}, t.failed_retries);
+  publish("requests.failed", {{"reason", "rejected"}}, t.failed_rejected);
+  publish("requests.failed", {{"reason", "shed"}}, t.failed_shed);
+  publish("requests.retries_scheduled", {}, t.retry_attempts);
+  publish("requests.hedges", {}, t.hedge_attempts);
+  publish("overload.brownout_transitions", {}, t.brownout_transitions);
+  publish("cluster.forwards", {}, t.forwarded);
+  publish("cluster.migrations", {}, t.migrations);
+  publish("cluster.remote_fetches", {}, t.remote_fetches);
+  registry_.histogram("requests.response_ms") = t.response_ms;
+  registry_.bucket_series("goodput.completed") = tally_.availability().completion_series();
+  registry_.bucket_series("goodput.failed") = tally_.availability().failure_series();
 }
 
 void SimTelemetry::begin_measurement(SimTime measure_start) {
-  const SimTime interval = seconds_to_simtime(ctx_.cfg().goodput_interval_seconds);
-  if (interval > 0) {
-    goodput_completed_->begin(measure_start, interval);
-    goodput_failed_->begin(measure_start, interval);
-  }
   if (probe_) probe_->begin(measure_start);
 }
 
@@ -50,7 +60,8 @@ void SimTelemetry::reset() {
   if (probe_) probe_->reset();
 }
 
-Snapshot SimTelemetry::snapshot() const {
+Snapshot SimTelemetry::snapshot() {
+  publish_tally();
   Snapshot snap = registry_.snapshot();
   snap.nodes = ctx_.cfg().nodes;
   snap.spans = spans_.chronological();
@@ -67,47 +78,27 @@ void SimTelemetry::on_event(const obs::DecisionRecord& record,
   // the brownout moved, which budget spend was denied) registers its
   // counters lazily. That is fine — the stream is deterministic, so
   // registration order is too — and reset() keeps the registrations across
-  // the warm-up boundary.
+  // the warm-up boundary. Every other outcome is MetricsCollector's to
+  // count.
   switch (record.kind) {
-    case obs::DecisionKind::kDispatch:
-      if (record.cause == obs::DecisionCause::kForwardService) forwards_->add();
-      break;
-    case obs::DecisionKind::kMigrate:
-      migrations_->add();
-      forwards_->add();
-      break;
-    case obs::DecisionKind::kRemoteFetch:
-      remote_fetches_->add();
-      forwards_->add();
-      break;
     case obs::DecisionKind::kComplete:
-      completed_->add();
       if (conn->cache_hit) completed_hits_->add();
       if (conn->forwarded()) completed_forwarded_->add();
-      response_ms_->add(simtime_to_seconds(record.time - conn->first_arrival) * 1e3);
-      goodput_completed_->bump(record.time);
       record_span(*conn, conn->forwarded() ? SpanVerdict::kForwarded : SpanVerdict::kLocal,
                   record.time);
       break;
-    case obs::DecisionKind::kFailure: {
-      const bool deadline = record.cause == obs::DecisionCause::kDeadlineExpired;
-      (deadline ? failed_deadline_ : failed_retries_)->add();
-      goodput_failed_->bump(record.time);
-      record_span(*conn, deadline ? SpanVerdict::kDeadline : SpanVerdict::kRetriesExhausted,
+    case obs::DecisionKind::kFailure:
+      record_span(*conn,
+                  record.cause == obs::DecisionCause::kDeadlineExpired
+                      ? SpanVerdict::kDeadline
+                      : SpanVerdict::kRetriesExhausted,
                   record.time);
       break;
-    }
     // Admission rejects and sheds never materialize a connection, so those
     // requests leave counters but no span.
-    case obs::DecisionKind::kReject:
-      failed_rejected_->add();
-      goodput_failed_->bump(record.time);
-      break;
     case obs::DecisionKind::kShed:
       registry_.counter("overload.shed", {{"cause", std::string(to_string(record.cause))}})
           .add();
-      failed_shed_->add();
-      goodput_failed_->bump(record.time);
       break;
     case obs::DecisionKind::kBrownout:
       registry_
@@ -117,7 +108,6 @@ void SimTelemetry::on_event(const obs::DecisionRecord& record,
                                                       ? "raise"
                                                       : "ease"}})
           .add();
-      brownout_transitions_->add();
       break;
     case obs::DecisionKind::kBudgetDeny:
       registry_
@@ -127,8 +117,12 @@ void SimTelemetry::on_event(const obs::DecisionRecord& record,
                                : "retry"}})
           .add();
       break;
-    case obs::DecisionKind::kRetry: retries_->add(); break;
-    case obs::DecisionKind::kHedge: hedges_->add(); break;
+    case obs::DecisionKind::kDispatch:
+    case obs::DecisionKind::kMigrate:
+    case obs::DecisionKind::kRemoteFetch:
+    case obs::DecisionKind::kReject:
+    case obs::DecisionKind::kRetry:
+    case obs::DecisionKind::kHedge:
     case obs::DecisionKind::kClose: break;
     case obs::DecisionKind::kNodeCrash: record_fault(FaultEvent::Kind::kCrash, record); break;
     case obs::DecisionKind::kNodeRepair: record_fault(FaultEvent::Kind::kRepair, record); break;

@@ -151,12 +151,12 @@ TEST(Failures, FailureBucketsPartitionTheFailedCount) {
 }
 
 TEST(Failures, GoodputTimelineMatchesTelemetrySeries) {
-  // The AvailabilityTracker goodput timeline now lives on
-  // telemetry::BucketSeries, and SimTelemetry keeps its own
-  // "goodput.completed"/"goodput.failed" series fed by the same lifecycle
-  // events. Under a crash plan the two must agree bucket-for-bucket — the
-  // shim accessors (SimResult::goodput_rps) and the registry are two views
-  // of identical integer-bucket arithmetic.
+  // The AvailabilityTracker keeps the goodput timeline in
+  // telemetry::BucketSeries, and SimTelemetry publishes those series as
+  // "goodput.completed"/"goodput.failed". Under a crash plan
+  // SimResult::goodput_rps and the published series must agree
+  // bucket-for-bucket, and the bucket totals must account for every
+  // outcome the scalar counters saw.
   const auto tr = workload();
   SimConfig cfg = failing_config(8, 3, 0.2);
   cfg.goodput_interval_seconds = 0.1;

@@ -387,7 +387,7 @@ TEST(FaultInjection, LardFrontEndFailoverConvertsSpofIntoAWindow) {
             0.8);
   EXPECT_LT(r.failed, without.failed / 4);
   EXPECT_NE(lard->current_front_end(), policy::LardPolicy::front_end());
-  EXPECT_EQ(sim.policy().counters().get("front_end_failover"), 1u);
+  EXPECT_EQ(sim.policy().counters().front_end_failover, 1u);
 }
 
 // --- client-side robustness ----------------------------------------------

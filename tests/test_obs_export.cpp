@@ -261,6 +261,13 @@ TEST(DecisionExport, BoundedRingCsvStartsAtTheDropCount) {
   ASSERT_EQ(lines.size(), 129u);
   EXPECT_EQ(std::stoull(split_csv(lines[1])[0]), d.dropped);
   EXPECT_EQ(std::stoull(split_csv(lines.back())[0]), d.recorded - 1);
+
+  // The drop is said, not only encoded in the first index.
+  std::ostringstream summary;
+  write_decisions_summary(summary, d);
+  EXPECT_EQ(summary.str(), "decisions: kept 128 of " + std::to_string(d.recorded) +
+                               " recorded (" + std::to_string(d.dropped) +
+                               " dropped, ring capacity 128)\n");
 }
 
 // --- combined Chrome trace ---------------------------------------------------

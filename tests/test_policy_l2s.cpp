@@ -83,7 +83,7 @@ TEST(L2sPolicy, GrowsSetWhenCachingNodeOverloaded) {
   // Entry 0 is idle: it should take the file itself (replication).
   const int chosen = p.select_service_node(0, PolicyFixture::request_for(5));
   EXPECT_EQ(chosen, 0);
-  EXPECT_GE(p.counters().get("set_grow"), 1u);
+  EXPECT_GE(p.counters().set_grow, 1u);
   f.drain();
   EXPECT_TRUE(p.server_set_of(3, 5) == p.server_set_of(0, 5));
 }
@@ -101,9 +101,9 @@ TEST(L2sPolicy, NoGrowthWhenWholeClusterSaturated) {
     p.on_complete(n, PolicyFixture::request_for(5));
   }
   f.drain();
-  const auto grows_before = p.counters().get("set_grow");
+  const auto grows_before = p.counters().set_grow;
   EXPECT_EQ(p.select_service_node(0, PolicyFixture::request_for(5)), 2);
-  EXPECT_EQ(p.counters().get("set_grow"), grows_before);
+  EXPECT_EQ(p.counters().set_grow, grows_before);
 }
 
 TEST(L2sPolicy, ExtremeOverloadForcesGrowth) {
@@ -118,7 +118,7 @@ TEST(L2sPolicy, ExtremeOverloadForcesGrowth) {
   f.drain();
   const int chosen = p.select_service_node(0, PolicyFixture::request_for(5));
   EXPECT_NE(chosen, 2);
-  EXPECT_GE(p.counters().get("set_grow"), 1u);
+  EXPECT_GE(p.counters().set_grow, 1u);
 }
 
 TEST(L2sPolicy, LoadBroadcastsThrottledByDelta) {
@@ -134,7 +134,7 @@ TEST(L2sPolicy, LoadBroadcastsThrottledByDelta) {
   f.drain();
   EXPECT_EQ(p.view_of(0, 1), 4);  // drift 4: broadcast
   EXPECT_EQ(p.view_of(2, 1), 4);
-  EXPECT_GE(p.counters().get("load_broadcasts"), 1u);
+  EXPECT_GE(p.counters().load_broadcasts, 1u);
 }
 
 TEST(L2sPolicy, ShrinkPrunesStableReplicatedSets) {
@@ -158,7 +158,32 @@ TEST(L2sPolicy, ShrinkPrunesStableReplicatedSets) {
   f.sched.run_until(f.sched.now() + seconds_to_simtime(0.01));
   (void)p.select_service_node(0, PolicyFixture::request_for(5));
   EXPECT_EQ(p.server_set_of(0, 5).size(), 1u);
-  EXPECT_GE(p.counters().get("set_shrink"), 1u);
+  EXPECT_GE(p.counters().set_shrink, 1u);
+}
+
+TEST(L2sPolicy, ResetCountersZeroesEveryField) {
+  PolicyFixture f(4);
+  L2sPolicy p;
+  p.attach(f.ctx);
+  (void)p.select_service_node(2, PolicyFixture::request_for(5));
+  f.drain();
+  f.set_load(2, 30);
+  p.on_complete(2, PolicyFixture::request_for(5));
+  f.drain();
+  (void)p.select_service_node(0, PolicyFixture::request_for(5));
+  f.drain();
+  EXPECT_EQ(p.counters().set_create, 1u);
+  EXPECT_GE(p.counters().set_grow, 1u);
+  EXPECT_GE(p.counters().load_broadcasts, 1u);
+  EXPECT_GE(p.counters().locality_broadcasts, 1u);
+  p.reset_counters();
+  for (const auto field :
+       {&PolicyCounters::load_broadcasts, &PolicyCounters::locality_broadcasts,
+        &PolicyCounters::set_create, &PolicyCounters::set_grow, &PolicyCounters::set_shrink,
+        &PolicyCounters::load_updates, &PolicyCounters::dispatcher_queries,
+        &PolicyCounters::front_end_failover}) {
+    EXPECT_EQ(p.counters().*field, 0u);
+  }
 }
 
 TEST(L2sPolicy, ForwardCostIsMuF) {

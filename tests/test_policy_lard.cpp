@@ -83,7 +83,7 @@ TEST(LardPolicy, ReplicatesUnderImbalance) {
   const int now_chosen = p.select_service_node(0, PolicyFixture::request_for(9));
   EXPECT_NE(now_chosen, first);  // set grew; the spare backend takes over
   EXPECT_TRUE(p.server_sets().contains(9, now_chosen));
-  EXPECT_GE(p.counters().get("set_grow"), 1u);
+  EXPECT_GE(p.counters().set_grow, 1u);
 }
 
 TEST(LardPolicy, SingleNodeClusterServesLocally) {

@@ -3,8 +3,13 @@
 // guarantee when telemetry is disabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "l2sim/core/experiment.hpp"
 #include "l2sim/core/simulation.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/telemetry/probe.hpp"
@@ -93,6 +98,45 @@ TEST(TelemetryProbe, RegistryCountersMatchSimResult) {
   EXPECT_EQ(snap.find("requests.failed", {{"reason", "rejected"}})->count,
             r.failed_rejected);
   EXPECT_EQ(snap.find("requests.response_ms")->count, r.completed);
+}
+
+// SimResult's quantiles and the snapshot's requests.response_ms read the
+// collector's one histogram. With every span kept, the completed spans give
+// the exact response times to check it against.
+TEST(TelemetryProbe, ResponseQuantilesMatchExactOrderStatistics) {
+  const auto tr = workload();
+  for (const auto kind : {core::PolicyKind::kTraditional, core::PolicyKind::kLard}) {
+    core::SimConfig cfg;
+    cfg.nodes = 4;
+    cfg.node.cache_bytes = 1 * kMiB;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.span_sample_every = 1;
+    cfg.telemetry.span_capacity = 1 << 14;
+    const auto r = core::run_once(tr, cfg, kind);
+    ASSERT_NE(r.telemetry, nullptr);
+    ASSERT_EQ(r.telemetry->spans_overwritten, 0u);
+
+    std::vector<double> response_ms;
+    for (const Span& s : r.telemetry->spans) {
+      if (!s.failed())
+        response_ms.push_back(simtime_to_seconds(s.completion - s.first_arrival) * 1e3);
+    }
+    ASSERT_EQ(response_ms.size(), r.completed);
+    std::sort(response_ms.begin(), response_ms.end());
+    const auto exact = [&](double q) {
+      const double n = static_cast<double>(response_ms.size());
+      return response_ms[static_cast<std::size_t>(std::clamp(std::ceil(q * n), 1.0, n)) - 1];
+    };
+    const std::string policy = core::policy_kind_name(kind);
+    EXPECT_NEAR(r.p50_response_ms, exact(0.50), 0.01 * exact(0.50)) << policy;
+    EXPECT_NEAR(r.p95_response_ms, exact(0.95), 0.01 * exact(0.95)) << policy;
+    EXPECT_NEAR(r.p99_response_ms, exact(0.99), 0.01 * exact(0.99)) << policy;
+
+    const Histogram& h = r.telemetry->find("requests.response_ms")->histogram;
+    EXPECT_EQ(h.quantile(0.50), r.p50_response_ms) << policy;
+    EXPECT_EQ(h.quantile(0.95), r.p95_response_ms) << policy;
+    EXPECT_EQ(h.quantile(0.99), r.p99_response_ms) << policy;
+  }
 }
 
 TEST(TelemetryProbe, ProbeSeriesRideTheLoadSampler) {

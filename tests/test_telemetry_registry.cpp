@@ -53,27 +53,21 @@ TEST(TelemetryMetrics, GaugeTracksExtrema) {
 }
 
 TEST(TelemetryMetrics, HistogramBucketsAndQuantiles) {
-  Histogram h{HistogramParams{1.0, 2.0, 8}};
-  for (int i = 0; i < 100; ++i) h.add(0.5);  // below base -> bucket 0
-  h.add(1000.0);                             // overflow bucket
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.add(0.5);
+  h.add(1000.0);
   EXPECT_EQ(h.count(), 101u);
-  EXPECT_EQ(h.buckets().front(), 100u);
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(3), 4.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_GT(h.quantile(1.0), 0.0);
+  // Interpolated inside 0.5's bucket, which is 1/128 of 0.5 wide.
+  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.5 / 128);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.5);     // the exact minimum
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);  // the exact maximum
 
-  Histogram g{HistogramParams{1.0, 2.0, 8}};
+  Histogram g;
   g.add(0.5);
   h.merge(g);
   EXPECT_EQ(h.count(), 102u);
-  EXPECT_EQ(h.buckets().front(), 101u);
-
-  Histogram other{HistogramParams{2.0, 2.0, 8}};
-  EXPECT_THROW(h.merge(other), std::invalid_argument);
-  EXPECT_THROW(Histogram(HistogramParams{0.0, 2.0, 8}), std::invalid_argument);
-  EXPECT_THROW(Histogram(HistogramParams{1.0, 1.0, 8}), std::invalid_argument);
+  EXPECT_NEAR(h.quantile(0.99), 0.5, 0.5 / 128);  // rank 101 of 102: the last 0.5
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
 }
 
 TEST(TelemetryMetrics, BucketSeriesUsesExactIntegerBuckets) {
@@ -176,7 +170,7 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   Registry a;
   a.counter("c").add(2);
   a.gauge("g").set(5.0);
-  a.histogram("h", {}, HistogramParams{1.0, 2.0, 4}).add(0.5);
+  a.histogram("h").add(0.5);
   a.bucket_series("b").begin(0, 100);
   a.bucket_series("b").bump(50);
   a.sample_series("s").add(1, 1.0);
@@ -185,7 +179,7 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   b.counter("c").add(3);
   b.counter("extra").add(1);
   b.gauge("g").set(-2.0);
-  b.histogram("h", {}, HistogramParams{1.0, 2.0, 4}).add(0.5);
+  b.histogram("h").add(8.0);
   b.bucket_series("b").begin(0, 100);
   b.bucket_series("b").bump(250);  // bucket 2: longer than a's series
   b.sample_series("s").add(2, 2.0);
@@ -199,7 +193,9 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   EXPECT_DOUBLE_EQ(merged.find("g")->min, -2.0);
   EXPECT_DOUBLE_EQ(merged.find("g")->max, 5.0);
   EXPECT_EQ(merged.find("h")->count, 2u);
-  EXPECT_EQ(merged.find("h")->histogram_buckets[0], 2u);
+  EXPECT_EQ(merged.find("h")->histogram.count(), 2u);
+  EXPECT_DOUBLE_EQ(merged.find("h")->histogram.quantile(0.0), 0.5);
+  EXPECT_DOUBLE_EQ(merged.find("h")->histogram.quantile(1.0), 8.0);
   ASSERT_EQ(merged.find("b")->series_buckets.size(), 3u);
   EXPECT_DOUBLE_EQ(merged.find("b")->series_buckets[0], 1.0);
   EXPECT_DOUBLE_EQ(merged.find("b")->series_buckets[2], 1.0);

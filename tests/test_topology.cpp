@@ -501,33 +501,34 @@ std::vector<TopoCell> topology_matrix() {
   return cells;
 }
 
-// Digests recorded at the topology substrate's introduction; the rack and
-// fat-tree cells extend the 36-cell single-switch net (which is pinned,
-// unchanged, in test_golden_results.cpp) with a topology axis.
+// Digests recorded at the topology substrate's introduction, and
+// regenerated with test_golden_results.cpp's when the response quantiles
+// changed; the rack and fat-tree cells extend the 36-cell single-switch
+// net with a topology axis.
 // Note the traditional-policy cells reproduce the single-switch backend
 // digests from test_golden_results.cpp bit-for-bit: a traditional server
 // never forwards between nodes, so no message ever crosses the fabric and
 // the topology cannot perturb it. LARD and L2S forward constantly, so
 // their digests move with the interconnect.
 const std::vector<std::pair<std::string, std::string>> kTopoGolden = {
-    {"trad|rack|nofault", "f81a1d14a59747f6"},
-    {"trad|rack|crash", "83fefe0734008b30"},
-    {"trad|fattree|nofault", "f81a1d14a59747f6"},
-    {"trad|fattree|crash", "83fefe0734008b30"},
-    {"trad|rackflow|nofault", "f81a1d14a59747f6"},
-    {"trad|rackflow|crash", "83fefe0734008b30"},
-    {"lard|rack|nofault", "3456f1ace5729135"},
-    {"lard|rack|crash", "353fc14e95428c42"},
-    {"lard|fattree|nofault", "11f14e5407ff7b7f"},
-    {"lard|fattree|crash", "52080e48b0a6d290"},
-    {"lard|rackflow|nofault", "9ca3ff4254acd326"},
-    {"lard|rackflow|crash", "7ef3f05f1b878c5d"},
-    {"l2s|rack|nofault", "15d9ad7e5580cafb"},
-    {"l2s|rack|crash", "36fd24245f17290c"},
-    {"l2s|fattree|nofault", "83dd37528ec29bd6"},
-    {"l2s|fattree|crash", "8a4a78dc067af53e"},
-    {"l2s|rackflow|nofault", "b184f65f71ebe76c"},
-    {"l2s|rackflow|crash", "e5abe1c7ed657393"},
+    {"trad|rack|nofault", "bece48b3a6984d9c"},
+    {"trad|rack|crash", "59a4962af31c63fb"},
+    {"trad|fattree|nofault", "bece48b3a6984d9c"},
+    {"trad|fattree|crash", "59a4962af31c63fb"},
+    {"trad|rackflow|nofault", "bece48b3a6984d9c"},
+    {"trad|rackflow|crash", "59a4962af31c63fb"},
+    {"lard|rack|nofault", "444acce2463c823e"},
+    {"lard|rack|crash", "19ccfdf5deea7f92"},
+    {"lard|fattree|nofault", "6b5e8140257bc7b0"},
+    {"lard|fattree|crash", "9f2e7666d5a5939c"},
+    {"lard|rackflow|nofault", "77361d0c02f2de8e"},
+    {"lard|rackflow|crash", "75963f8e59659db8"},
+    {"l2s|rack|nofault", "e39466160baca782"},
+    {"l2s|rack|crash", "e534256edf3e11ec"},
+    {"l2s|fattree|nofault", "da72db04ca354e1b"},
+    {"l2s|fattree|crash", "80992b6ae0ff28c0"},
+    {"l2s|rackflow|nofault", "bae4243e787395af"},
+    {"l2s|rackflow|crash", "b791ea3363d0c9ae"},
 };
 
 TEST(TopologyGolden, MatrixMatchesRecordedDigests) {

@@ -51,8 +51,8 @@ done
 
 echo "== tier-1: Release build + full test suite =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+cmake --build build -j "$(nproc)"
+ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "== clang-tidy: core engine (skipped when clang-tidy is unavailable) =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -366,6 +366,7 @@ int cmd_run(const Args& args) {
     return core::run_simulation(spec, tr);
   }();
   if (r.telemetry != nullptr) telemetry::write_summary(std::cout, *r.telemetry);
+  if (r.decisions != nullptr) obs::write_decisions_summary(std::cout, *r.decisions);
   std::cout << r.describe() << '\n';
   TextTable t({"metric", "value"});
   t.cell("throughput (req/s)").cell(r.throughput_rps, 1).end_row();
