@@ -30,11 +30,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/l2sim.hpp"
 
 using namespace l2s;
@@ -305,76 +305,46 @@ int main(int argc, char** argv) {
             << format_double(sweep.max_abs_hit_delta * 100.0, 2) << " pp\n";
 
   // --- acceptance gates -------------------------------------------------
-  struct Gate {
-    std::string name;
-    bool pass;
-    std::string detail;
-  };
-  std::vector<Gate> gates;
-  auto add_gate = [&](std::string name, bool pass, std::string detail) {
-    gates.push_back({std::move(name), pass, std::move(detail)});
-  };
+  std::vector<benchgate::Gate> gates;
 
-  add_gate("hit_within_5pp", max_gated_delta <= 0.05,
-           "max |analytic - DES| hit delta " +
-               format_double(max_gated_delta * 100.0, 2) +
-               " pp over gated validation cells (need <= 5 pp)");
-  add_gate("speedup_100x", sweep.speedup >= 100.0,
-           "analytic sweep " + format_double(sweep.speedup, 1) +
-               "x faster than DES over " + std::to_string(sweep.cells) +
-               " cells (need >= 100x)");
+  gates.push_back({"hit_within_5pp", max_gated_delta <= 0.05,
+                   "max |analytic - DES| hit delta " +
+                       format_double(max_gated_delta * 100.0, 2) +
+                       " pp over gated validation cells (need <= 5 pp)"});
+  gates.push_back({"speedup_100x", sweep.speedup >= 100.0,
+                   "analytic sweep " + format_double(sweep.speedup, 1) +
+                       "x faster than DES over " + std::to_string(sweep.cells) +
+                       " cells (need >= 100x)"});
 
-  std::cout << "\ngates:\n";
-  bool all_pass = true;
-  for (const auto& g : gates) {
-    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": "
-              << g.detail << "\n";
-    all_pass = all_pass && g.pass;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"analytic\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"validation_cells\": " << rows.size() << ",\n"
-      << "  \"max_gated_hit_delta_pp\": " << format_double(max_gated_delta * 100.0, 3)
-      << ",\n"
-      << "  \"max_any_hit_delta_pp\": " << format_double(max_any_delta * 100.0, 3)
-      << ",\n"
-      << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    out << "    {\"cell\": \"" << r.name << "\", \"gated\": "
-        << (r.gated ? "true" : "false")
-        << ", \"des_hit\": " << format_double(r.des_hit, 4)
-        << ", \"analytic_hit\": " << format_double(r.analytic_hit, 4)
-        << ", \"delta_pp\": " << format_double(r.delta * 100.0, 2)
-        << ", \"des_throughput_rps\": " << format_double(r.des_throughput, 1)
-        << ", \"analytic_throughput_rps\": "
-        << format_double(r.analytic_throughput, 1) << "}"
-        << (i + 1 == rows.size() ? "\n" : ",\n");
-  }
-  out << "  ],\n"
-      << "  \"sweep\": {\"cells\": " << sweep.cells
-      << ", \"requests_per_cell\": " << sweep_tr.request_count()
-      << ", \"des_seconds\": " << format_double(sweep.des_seconds, 4)
-      << ", \"analytic_seconds\": " << format_double(sweep.analytic_seconds, 5)
-      << ", \"speedup\": " << format_double(sweep.speedup, 1)
-      << ", \"max_abs_hit_delta_pp\": "
-      << format_double(sweep.max_abs_hit_delta * 100.0, 2) << "},\n"
-      << "  \"gates\": {\n";
-  for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
-        << (i + 1 == gates.size() ? "\n" : ",\n");
-  out << "  },\n"
-      << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  if (!all_pass) {
-    std::cerr << "analytic_bench: acceptance gates FAILED\n";
-    return 1;
-  }
-  std::cout << "analytic_bench: all gates pass\n";
-  return 0;
+  return benchgate::finish("analytic_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"analytic\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"validation_cells\": " << rows.size() << ",\n"
+        << "  \"max_gated_hit_delta_pp\": " << format_double(max_gated_delta * 100.0, 3)
+        << ",\n"
+        << "  \"max_any_hit_delta_pp\": " << format_double(max_any_delta * 100.0, 3)
+        << ",\n"
+        << "  \"rows\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto& r = rows[i];
+      out << "    {\"cell\": \"" << r.name << "\", \"gated\": "
+          << (r.gated ? "true" : "false")
+          << ", \"des_hit\": " << format_double(r.des_hit, 4)
+          << ", \"analytic_hit\": " << format_double(r.analytic_hit, 4)
+          << ", \"delta_pp\": " << format_double(r.delta * 100.0, 2)
+          << ", \"des_throughput_rps\": " << format_double(r.des_throughput, 1)
+          << ", \"analytic_throughput_rps\": "
+          << format_double(r.analytic_throughput, 1) << "}"
+          << (i + 1 == rows.size() ? "\n" : ",\n");
+    }
+    out << "  ],\n"
+        << "  \"sweep\": {\"cells\": " << sweep.cells
+        << ", \"requests_per_cell\": " << sweep_tr.request_count()
+        << ", \"des_seconds\": " << format_double(sweep.des_seconds, 4)
+        << ", \"analytic_seconds\": " << format_double(sweep.analytic_seconds, 5)
+        << ", \"speedup\": " << format_double(sweep.speedup, 1)
+        << ", \"max_abs_hit_delta_pp\": "
+        << format_double(sweep.max_abs_hit_delta * 100.0, 2) << "},\n";
+  });
 }

@@ -6,8 +6,11 @@
 // cluster. For LARD the crash of node 0 (its front-end) stops the service;
 // crashing a back-end, or any L2S/traditional node, costs only the
 // requests in flight plus 1/16 of capacity.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+#include <vector>
 
+#include "l2sim/l2sim.hpp"
 #include "l2sim/policy/round_robin.hpp"
 
 using namespace l2s;

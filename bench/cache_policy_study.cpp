@@ -6,7 +6,10 @@
 // many small hot files instead of few big ones); with content-aware
 // distribution the combined cache is already large relative to the working
 // set, so the gap narrows.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

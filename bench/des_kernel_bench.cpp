@@ -36,7 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <new>
@@ -44,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/common/units.hpp"
 #include "l2sim/des/scheduler.hpp"
 #include "legacy_scheduler.hpp"
@@ -244,7 +244,7 @@ void print_row(const Measurement& m) {
               m.events_per_sec(), m.allocs_per_event());
 }
 
-void json_row(std::ofstream& out, const Measurement& m, bool last) {
+void json_row(std::ostream& out, const Measurement& m, bool last) {
   out << "    {\"workload\": \"" << m.workload << "\", \"kernel\": \"" << m.kernel
       << "\", \"events\": " << m.events << ", \"seconds\": " << m.seconds
       << ", \"events_per_sec\": " << m.events_per_sec()
@@ -328,23 +328,20 @@ int main(int argc, char** argv) {
       open_speedup, light_speedup, fan_speedup,
       static_cast<unsigned long long>(steady_allocs));
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 2;
-  }
-  out << "{\n  \"bench\": \"des_kernel\",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
-  out << "  ],\n"
-      << "  \"speedup\": {\"open_loop\": " << open_speedup
-      << ", \"open_loop_light\": " << light_speedup
-      << ", \"fan_out\": " << fan_speedup << "},\n"
-      << "  \"steady_state_allocs_inline_open_loop\": " << steady_allocs << ",\n"
-      << "  \"pass\": {\"speedup_open_loop_ge_2x\": " << (open_speedup >= 2.0 ? "true" : "false")
-      << ", \"zero_steady_state_allocs\": " << (steady_allocs == 0 ? "true" : "false")
-      << "}\n}\n";
-  out.close();
-  std::printf("  wrote %s\n", out_path.c_str());
+  const bool written = l2s::benchgate::write_report(out_path, [&](std::ostream& out) {
+    out << "{\n  \"bench\": \"des_kernel\",\n  \"results\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
+    out << "  ],\n"
+        << "  \"speedup\": {\"open_loop\": " << open_speedup
+        << ", \"open_loop_light\": " << light_speedup
+        << ", \"fan_out\": " << fan_speedup << "},\n"
+        << "  \"steady_state_allocs_inline_open_loop\": " << steady_allocs << ",\n"
+        << "  \"pass\": {\"speedup_open_loop_ge_2x\": "
+        << (open_speedup >= 2.0 ? "true" : "false")
+        << ", \"zero_steady_state_allocs\": " << (steady_allocs == 0 ? "true" : "false")
+        << "}\n}\n";
+  });
+  if (!written) return 1;
 
   bool ok = true;
   if (open_speedup < 2.0) {

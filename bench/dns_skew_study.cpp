@@ -3,8 +3,10 @@
 // A plain RR-DNS server cannot compensate; L2S redistributes work inside
 // the cluster, so its throughput should hold while the naive server's
 // collapses as the skew grows.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
 
+#include "l2sim/l2sim.hpp"
 #include "l2sim/policy/round_robin.hpp"
 
 using namespace l2s;

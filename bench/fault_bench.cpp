@@ -16,12 +16,12 @@
 //   plus a bit-reproducibility check (same seed, same numbers).
 //
 // Exits non-zero if any gate fails, so CI can run it as a regression test.
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/l2sim.hpp"
 
 using namespace l2s;
@@ -47,7 +47,7 @@ struct Scenario {
 
 std::string json_escape_free(const std::string& s) { return s; }  // names are plain
 
-void json_row(std::ofstream& out, const Row& row, bool last) {
+void json_row(std::ostream& out, const Row& row, bool last) {
   const auto& r = row.r;
   out << "    {\"scenario\": \"" << json_escape_free(row.scenario) << "\", \"policy\": \""
       << row.policy << "\",\n"
@@ -206,45 +206,37 @@ int main(int argc, char** argv) {
   };
 
   // --- acceptance gates ----------------------------------------------------
-  struct Gate {
-    std::string name;
-    bool pass;
-    std::string detail;
-  };
-  std::vector<Gate> gates;
-  auto add_gate = [&](std::string name, bool pass, std::string detail) {
-    gates.push_back({std::move(name), pass, std::move(detail)});
-  };
+  std::vector<benchgate::Gate> gates;
 
   {
     // (a) A single-node crash costs L2S little; LARD without failover
     // loses everything after its front-end dies.
     const Row& l2s = find("crash", "l2s");
     const Row& lard = find("crash", "lard");
-    add_gate("a_l2s_absorbs_crash", l2s.served >= 0.95,
-             "l2s served " + format_double(l2s.served * 100.0, 2) + "% (need >= 95%)");
-    add_gate("a_lard_loses_tail", lard.served <= 0.7,
-             "lard served " + format_double(lard.served * 100.0, 2) + "% (need <= 70%)");
+    gates.push_back({"a_l2s_absorbs_crash", l2s.served >= 0.95,
+                     "l2s served " + format_double(l2s.served * 100.0, 2) + "% (need >= 95%)"});
+    gates.push_back({"a_lard_loses_tail", lard.served <= 0.7,
+                     "lard served " + format_double(lard.served * 100.0, 2) + "% (need <= 70%)"});
   }
   {
     // (b) Warm-spare failover turns the SPOF into a detection window.
     const Row& fo = find("crash_recover", "lard_failover");
-    add_gate("b_failover_serves_tail", fo.served >= 0.9,
-             "lard_failover served " + format_double(fo.served * 100.0, 2) +
-                 "% (need >= 90%)");
-    add_gate("b_failover_detects_in_time",
-             fo.r.detection_latency_ms > 0.0 &&
-                 fo.r.detection_latency_ms <= detection_s * 1000.0 * 1.5,
-             "detection " + format_double(fo.r.detection_latency_ms, 1) + " ms (limit " +
-                 format_double(detection_s * 1000.0 * 1.5, 1) + " ms)");
+    gates.push_back({"b_failover_serves_tail", fo.served >= 0.9,
+                     "lard_failover served " + format_double(fo.served * 100.0, 2) +
+                         "% (need >= 90%)"});
+    gates.push_back({"b_failover_detects_in_time",
+                     fo.r.detection_latency_ms > 0.0 &&
+                         fo.r.detection_latency_ms <= detection_s * 1000.0 * 1.5,
+                     "detection " + format_double(fo.r.detection_latency_ms, 1) + " ms (limit " +
+                         format_double(detection_s * 1000.0 * 1.5, 1) + " ms)"});
   }
   {
     // (c) 1% loss is a non-event once retries are on.
     for (const char* pol : {"trad", "lard", "l2s"}) {
       const Row& row = find("loss_1pct", pol);
-      add_gate(std::string("c_loss1pct_") + pol, row.served >= 0.99,
-               std::string(pol) + " served " + format_double(row.served * 100.0, 2) +
-                   "% (need >= 99%)");
+      gates.push_back({std::string("c_loss1pct_") + pol, row.served >= 0.99,
+                       std::string(pol) + " served " + format_double(row.served * 100.0, 2) +
+                           "% (need >= 99%)"});
     }
   }
 
@@ -256,43 +248,21 @@ int main(int argc, char** argv) {
                              first.r.via_dropped == rerun.r.via_dropped &&
                              first.r.retry_attempts == rerun.r.retry_attempts &&
                              first.r.elapsed_seconds == rerun.r.elapsed_seconds;
-  add_gate("bit_reproducible", deterministic,
-           deterministic ? "replay identical" : "replay diverged");
+  gates.push_back({"bit_reproducible", deterministic,
+                   deterministic ? "replay identical" : "replay diverged"});
 
-  std::cout << "\ngates:\n";
-  bool all_pass = true;
-  for (const auto& g : gates) {
-    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": " << g.detail
-              << "\n";
-    all_pass = all_pass && g.pass;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"fault\",\n"
-      << "  \"trace\": \"Calgary\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"nodes\": " << nodes << ",\n"
-      << "  \"request_count\": " << tr.request_count() << ",\n"
-      << "  \"crash_at_seconds\": " << format_double(crash_at, 4) << ",\n"
-      << "  \"recover_at_seconds\": " << format_double(recover_at, 4) << ",\n"
-      << "  \"detection_seconds\": " << format_double(detection_s, 4) << ",\n"
-      << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
-  out << "  ],\n"
-      << "  \"gates\": {\n";
-  for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
-        << (i + 1 == gates.size() ? "\n" : ",\n");
-  out << "  },\n"
-      << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  if (!all_pass) {
-    std::cerr << "fault_bench: acceptance gates FAILED\n";
-    return 1;
-  }
-  std::cout << "fault_bench: all gates pass\n";
-  return 0;
+  return benchgate::finish("fault_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"fault\",\n"
+        << "  \"trace\": \"Calgary\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"nodes\": " << nodes << ",\n"
+        << "  \"request_count\": " << tr.request_count() << ",\n"
+        << "  \"crash_at_seconds\": " << format_double(crash_at, 4) << ",\n"
+        << "  \"recover_at_seconds\": " << format_double(recover_at, 4) << ",\n"
+        << "  \"detection_seconds\": " << format_double(detection_s, 4) << ",\n"
+        << "  \"rows\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
+    out << "  ],\n";
+  });
 }

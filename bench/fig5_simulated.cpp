@@ -4,7 +4,10 @@
 // the oblivious hit rate — comparing L2S against the traditional server.
 // Agreement in shape between this grid and the model surface ties the two
 // engines together on the paper's headline figure.
-#include "figure_common.hpp"
+#include <iostream>
+#include <vector>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

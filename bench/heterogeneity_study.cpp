@@ -4,8 +4,10 @@
 // load-feedback distribution (L2S, trad's fewest-connections) adapts to
 // the slow nodes automatically, while blind round-robin DNS overloads
 // them.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
 
+#include "l2sim/l2sim.hpp"
 #include "l2sim/policy/round_robin.hpp"
 
 using namespace l2s;

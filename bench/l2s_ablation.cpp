@@ -7,7 +7,11 @@
 //
 // Run on the synthetic Calgary trace at 16 nodes, where the trade-offs
 // between locality, balance and forwarding are all visible.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

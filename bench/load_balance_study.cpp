@@ -5,7 +5,10 @@
 // the max/mean load ratio, across policies and cluster sizes, plus the
 // no-replication L2S ablation that reproduces the "strict implementation"
 // the paper warns about.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

@@ -3,9 +3,12 @@
 // trace. This is the analysis behind the paper's sizing decisions — why
 // 32 MB memories make the traces' working sets "significant in comparison
 // to cache sizes" and what growing to 128 MB changes (Section 5.2).
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+#include <vector>
 
 #include "l2sim/cache/stack_distance.hpp"
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

@@ -31,11 +31,11 @@
 // regressions as errors. The gate carries a small absolute floor so a
 // microscopic trace under L2SIM_SCALE cannot fail on scheduler jitter.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/l2sim.hpp"
 #include "overhead_timing.hpp"
 
@@ -162,43 +162,30 @@ int main(int argc, char** argv) {
   const double ratio = a.ratio();
   const bool pass = ratio <= limit || (ratio - 1.0) * off <= floor_s;
 
-  std::cout << "\ngates:\n  [" << (pass ? "PASS" : "FAIL")
-            << "] ring_overhead_le_2pct: ratio " << format_double(ratio, 4)
-            << " (limit " << format_double(limit, 2) << ", best of "
-            << attempts.size() << " attempt" << (attempts.size() == 1 ? "" : "s")
-            << ")\n";
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"obs\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"nodes\": " << base.nodes << ",\n"
-      << "  \"request_count\": " << tr.request_count() << ",\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"attempts\": " << attempts.size() << ",\n"
-      << "  \"modes\": [\n";
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    out << "    {\"mode\": \"" << modes[m].name << "\", \"best_seconds\": "
-        << format_double(a.best[m], 6) << ", \"min_ratio_vs_off\": "
-        << format_double(a.best[m] / off, 6) << ", \"median_paired_ratio_vs_off\": "
-        << format_double(m == 1 ? a.median_paired : 1.0, 6) << "},\n";
-  }
-  out << "    {\"mode\": \"unbounded\", \"best_seconds\": "
-      << format_double(unbounded_s, 6) << ", \"min_ratio_vs_off\": "
-      << format_double(unbounded_s / off, 6) << "}\n";
-  out << "  ],\n"
-      << "  \"gated_ratio\": " << format_double(ratio, 6) << ",\n"
-      << "  \"gates\": {\n"
-      << "    \"ring_overhead_le_2pct\": " << (pass ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"all_gates_pass\": " << (pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  if (!pass) {
-    std::cerr << "obs_bench: overhead gate FAILED\n";
-    return 1;
-  }
-  std::cout << "obs_bench: all gates pass\n";
-  return 0;
+  const std::vector<benchgate::Gate> gates = {
+      {"ring_overhead_le_2pct", pass,
+       "ratio " + format_double(ratio, 4) + " (limit " + format_double(limit, 2) +
+           ", best of " + std::to_string(attempts.size()) + " attempt" +
+           (attempts.size() == 1 ? "" : "s") + ")"}};
+  return benchgate::finish("obs_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"obs\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"nodes\": " << base.nodes << ",\n"
+        << "  \"request_count\": " << tr.request_count() << ",\n"
+        << "  \"reps\": " << reps << ",\n"
+        << "  \"attempts\": " << attempts.size() << ",\n"
+        << "  \"modes\": [\n";
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      out << "    {\"mode\": \"" << modes[m].name << "\", \"best_seconds\": "
+          << format_double(a.best[m], 6) << ", \"min_ratio_vs_off\": "
+          << format_double(a.best[m] / off, 6) << ", \"median_paired_ratio_vs_off\": "
+          << format_double(m == 1 ? a.median_paired : 1.0, 6) << "},\n";
+    }
+    out << "    {\"mode\": \"unbounded\", \"best_seconds\": "
+        << format_double(unbounded_s, 6) << ", \"min_ratio_vs_off\": "
+        << format_double(unbounded_s / off, 6) << "}\n";
+    out << "  ],\n"
+        << "  \"gated_ratio\": " << format_double(ratio, 6) << ",\n";
+  });
 }

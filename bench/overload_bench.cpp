@@ -20,12 +20,12 @@
 //
 // Exits non-zero if any gate fails, so CI can run it as a regression test.
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/core/parallel.hpp"
 #include "l2sim/l2sim.hpp"
 
@@ -40,7 +40,7 @@ struct Row {
   std::string digest;
 };
 
-void json_row(std::ofstream& out, const Row& row, bool last) {
+void json_row(std::ostream& out, const Row& row, bool last) {
   const auto& r = row.r;
   out << "    {\"scenario\": \"" << row.scenario << "\",\n"
       << "     \"completed\": " << r.completed << ", \"failed\": " << r.failed
@@ -200,30 +200,22 @@ int main(int argc, char** argv) {
   const Row& defended = find("flash_crash_defended");
 
   // --- acceptance gates ----------------------------------------------------
-  struct Gate {
-    std::string name;
-    bool pass;
-    std::string detail;
-  };
-  std::vector<Gate> gates;
-  auto add_gate = [&](std::string name, bool pass, std::string detail) {
-    gates.push_back({std::move(name), pass, std::move(detail)});
-  };
+  std::vector<benchgate::Gate> gates;
 
-  add_gate("nominal_healthy", nominal.served >= 0.99,
-           "nominal served " + format_double(nominal.served * 100.0, 2) +
-               "% (need >= 99%)");
-  add_gate("baseline_collapses", undefended.served <= 0.40,
-           "undefended served " + format_double(undefended.served * 100.0, 2) +
-               "% (need <= 40%: the metastable collapse)");
-  add_gate("defended_70pct_of_nominal", defended.served >= 0.70 * nominal.served,
-           "defended served " + format_double(defended.served * 100.0, 2) +
-               "% vs nominal " + format_double(nominal.served * 100.0, 2) +
-               "% (need >= 70% of nominal)");
-  add_gate("shedder_engages",
-           defended.r.failed_shed > 0 && undefended.r.failed_shed == 0,
-           "defended shed " + std::to_string(defended.r.failed_shed) +
-               ", undefended shed " + std::to_string(undefended.r.failed_shed));
+  gates.push_back({"nominal_healthy", nominal.served >= 0.99,
+                   "nominal served " + format_double(nominal.served * 100.0, 2) +
+                       "% (need >= 99%)"});
+  gates.push_back({"baseline_collapses", undefended.served <= 0.40,
+                   "undefended served " + format_double(undefended.served * 100.0, 2) +
+                       "% (need <= 40%: the metastable collapse)"});
+  gates.push_back({"defended_70pct_of_nominal", defended.served >= 0.70 * nominal.served,
+                   "defended served " + format_double(defended.served * 100.0, 2) +
+                       "% vs nominal " + format_double(nominal.served * 100.0, 2) +
+                       "% (need >= 70% of nominal)"});
+  gates.push_back({"shedder_engages",
+                   defended.r.failed_shed > 0 && undefended.r.failed_shed == 0,
+                   "defended shed " + std::to_string(defended.r.failed_shed) +
+                       ", undefended shed " + std::to_string(undefended.r.failed_shed)});
 
   // Bit-reproducibility: the defended chaos run replays identically both
   // serially and through core::run_parallel.
@@ -243,46 +235,24 @@ int main(int argc, char** argv) {
   const bool parallel_identical =
       par.size() == 2 && core::result_digest_hex(par[0]) == undefended.digest &&
       core::result_digest_hex(par[1]) == defended.digest;
-  add_gate("bit_reproducible_serial", serial_identical,
-           serial_identical ? "defended replay identical" : "defended replay diverged");
-  add_gate("bit_reproducible_parallel", parallel_identical,
-           parallel_identical ? "run_parallel matches serial digests"
-                              : "run_parallel diverged from serial");
+  gates.push_back({"bit_reproducible_serial", serial_identical,
+                   serial_identical ? "defended replay identical" : "defended replay diverged"});
+  gates.push_back({"bit_reproducible_parallel", parallel_identical,
+                   parallel_identical ? "run_parallel matches serial digests"
+                                      : "run_parallel diverged from serial"});
 
-  std::cout << "\ngates:\n";
-  bool all_pass = true;
-  for (const auto& g : gates) {
-    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": " << g.detail
-              << "\n";
-    all_pass = all_pass && g.pass;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"overload\",\n"
-      << "  \"trace\": \"" << spec.name << "\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"nodes\": " << nodes << ",\n"
-      << "  \"request_count\": " << tr.request_count() << ",\n"
-      << "  \"nominal_rate_rps\": " << format_double(base.arrival.open_loop_rate, 1)
-      << ",\n"
-      << "  \"flash_factor\": 3.0,\n"
-      << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
-  out << "  ],\n"
-      << "  \"gates\": {\n";
-  for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
-        << (i + 1 == gates.size() ? "\n" : ",\n");
-  out << "  },\n"
-      << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  if (!all_pass) {
-    std::cerr << "overload_bench: acceptance gates FAILED\n";
-    return 1;
-  }
-  std::cout << "overload_bench: all gates pass\n";
-  return 0;
+  return benchgate::finish("overload_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"overload\",\n"
+        << "  \"trace\": \"" << spec.name << "\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"nodes\": " << nodes << ",\n"
+        << "  \"request_count\": " << tr.request_count() << ",\n"
+        << "  \"nominal_rate_rps\": " << format_double(base.arrival.open_loop_rate, 1)
+        << ",\n"
+        << "  \"flash_factor\": 3.0,\n"
+        << "  \"rows\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) json_row(out, rows[i], i + 1 == rows.size());
+    out << "  ],\n";
+  });
 }

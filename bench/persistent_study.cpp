@@ -12,7 +12,10 @@
 // back-end forwarding trades it for connection stability and pays with
 // cluster-network bytes, so hand-off wins as files grow — Aron et al.'s
 // conclusion.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

@@ -18,13 +18,15 @@
 //      knee with <= 25% of the grid's DES budget).
 //
 // Exits non-zero if the gate fails. `--csv DIR` writes the full grid.
-#include "figure_common.hpp"
-
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "l2sim/analytic/planner.hpp"
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

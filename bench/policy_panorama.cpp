@@ -4,8 +4,11 @@
 // and consistent hashing (the modern load-balancer default). ClarkNet is
 // used because its light requests expose the front-end/dispatcher
 // bottlenecks most clearly.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+#include <vector>
 
+#include "l2sim/l2sim.hpp"
 #include "l2sim/policy/consistent_hash.hpp"
 #include "l2sim/policy/lard_dispatcher.hpp"
 #include "l2sim/policy/round_robin.hpp"

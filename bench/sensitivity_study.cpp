@@ -5,7 +5,10 @@
 // This harness perturbs each of those parameters around the defaults on a
 // 16-node cluster and reports L2S throughput, which should stay within a
 // narrow band of the baseline.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

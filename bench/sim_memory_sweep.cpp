@@ -5,7 +5,10 @@
 // LARD much less (their miss rates are already low); LARD in addition
 // stays pinned at its ~5000 req/s front-end barrier, so with 128 MB
 // memories and 8+ nodes the traditional server can overtake LARD.
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

@@ -28,11 +28,11 @@
 // carry a small absolute floor so a microscopic trace under L2SIM_SCALE
 // cannot fail on scheduler jitter.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/l2sim.hpp"
 #include "overhead_timing.hpp"
 
@@ -130,60 +130,33 @@ int main(int argc, char** argv) {
   // Absolute slack: below this delta a ratio is noise, not overhead.
   const double floor_s = 0.002;
 
-  struct Gate {
-    std::string name;
-    double ratio;
-    double limit;
-    bool pass;
-  };
   auto gate = [&](const std::string& name, double secs, double limit) {
     const double ratio = secs / off;
     const bool pass = ratio <= limit || (secs - off) <= floor_s;
-    return Gate{name, ratio, limit, pass};
+    return benchgate::Gate{name, pass,
+                           "ratio " + format_double(ratio, 4) + " (limit " +
+                               format_double(limit, 2) + ")"};
   };
-  std::vector<Gate> gates = {
+  const std::vector<benchgate::Gate> gates = {
       gate("counters_overhead_le_1pct", best[1], 1.01),
       gate("span64_overhead_le_5pct", best[2], 1.05),
   };
 
-  std::cout << "\ngates:\n";
-  bool all_pass = true;
-  for (const auto& g : gates) {
-    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": ratio "
-              << format_double(g.ratio, 4) << " (limit " << format_double(g.limit, 2)
-              << ")\n";
-    all_pass = all_pass && g.pass;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"telemetry\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"nodes\": " << base.nodes << ",\n"
-      << "  \"request_count\": " << tr.request_count() << ",\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"attempts\": " << attempts_run << ",\n"
-      << "  \"modes\": [\n";
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    out << "    {\"mode\": \"" << modes[m].name << "\", \"best_seconds\": "
-        << format_double(best[m], 6) << ", \"ratio_vs_off\": "
-        << format_double(best[m] / off, 6) << "}"
-        << (m + 1 == modes.size() ? "\n" : ",\n");
-  }
-  out << "  ],\n"
-      << "  \"gates\": {\n";
-  for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
-        << (i + 1 == gates.size() ? "\n" : ",\n");
-  out << "  },\n"
-      << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  if (!all_pass) {
-    std::cerr << "telemetry_bench: overhead gates FAILED\n";
-    return 1;
-  }
-  std::cout << "telemetry_bench: all gates pass\n";
-  return 0;
+  return benchgate::finish("telemetry_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"telemetry\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"nodes\": " << base.nodes << ",\n"
+        << "  \"request_count\": " << tr.request_count() << ",\n"
+        << "  \"reps\": " << reps << ",\n"
+        << "  \"attempts\": " << attempts_run << ",\n"
+        << "  \"modes\": [\n";
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      out << "    {\"mode\": \"" << modes[m].name << "\", \"best_seconds\": "
+          << format_double(best[m], 6) << ", \"ratio_vs_off\": "
+          << format_double(best[m] / off, 6) << "}"
+          << (m + 1 == modes.size() ? "\n" : ",\n");
+    }
+    out << "  ],\n";
+  });
 }

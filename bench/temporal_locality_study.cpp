@@ -9,7 +9,10 @@
 // enters the paper's band — and, for one trace, how the knob shifts the
 // policy comparison (every policy's cache benefits, so the relative
 // Figure 7-10 results change little until the knob dominates).
-#include "figure_common.hpp"
+#include <iostream>
+#include <string>
+
+#include "l2sim/l2sim.hpp"
 
 using namespace l2s;
 

@@ -8,11 +8,11 @@
 //
 // Emits BENCH_topology.json; exits non-zero if the gate fails.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "gate_report.hpp"
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/simulation.hpp"
 #include "l2sim/l2sim.hpp"
@@ -21,12 +21,6 @@
 using namespace l2s;
 
 namespace {
-
-struct Gate {
-  std::string name;
-  bool pass;
-  std::string detail;
-};
 
 struct ModeRow {
   std::string mode;
@@ -44,10 +38,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--out") out_path = argv[i + 1];
 
   const double scale = bench_scale();
-  std::vector<Gate> gates;
-  auto add_gate = [&](std::string name, bool pass, std::string detail) {
-    gates.push_back({std::move(name), pass, std::move(detail)});
-  };
 
   // Forwarding-heavy: LARD on a cold-ish 256-node cluster forwards most
   // requests, and 32 KB responses ride the backend-forwarding path as bulk
@@ -119,45 +109,28 @@ int main(int argc, char** argv) {
   modes.print(std::cout);
   std::cout << "\nflow-mode event cut: " << format_double(event_cut, 2) << "x\n";
 
-  add_gate("flow_mode_event_cut_5x", event_cut >= 5.0,
-           "message-mode " + std::to_string(message.events) + " events vs flow-mode " +
-               std::to_string(flow.events) + " = " + format_double(event_cut, 2) +
-               "x (need >= 5x)");
+  const std::vector<benchgate::Gate> gates = {
+      {"flow_mode_event_cut_5x", event_cut >= 5.0,
+       "message-mode " + std::to_string(message.events) + " events vs flow-mode " +
+           std::to_string(flow.events) + " = " + format_double(event_cut, 2) +
+           "x (need >= 5x)"}};
 
-  // --- report --------------------------------------------------------------
-  std::cout << "\ngates:\n";
-  bool all_pass = true;
-  for (const auto& g : gates) {
-    std::cout << "  [" << (g.pass ? "PASS" : "FAIL") << "] " << g.name << ": " << g.detail
-              << "\n";
-    all_pass = all_pass && g.pass;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"topology\",\n"
-      << "  \"scale\": " << format_double(scale, 3) << ",\n"
-      << "  \"nodes\": " << base.nodes << ",\n"
-      << "  \"racks\": " << base.topology.racks << ",\n"
-      << "  \"segment_bytes\": " << base.topology.segment_bytes << ",\n"
-      << "  \"request_count\": " << tr.request_count() << ",\n"
-      << "  \"flow\": {\n"
-      << "    \"message_events\": " << message.events << ",\n"
-      << "    \"flow_events\": " << flow.events << ",\n"
-      << "    \"message_traversals\": " << message.traversals << ",\n"
-      << "    \"flow_traversals\": " << flow.traversals << ",\n"
-      << "    \"event_cut\": " << format_double(event_cut, 3) << ",\n"
-      << "    \"message_digest\": \"" << message.digest << "\",\n"
-      << "    \"flow_digest\": \"" << flow.digest << "\"\n"
-      << "  },\n"
-      << "  \"gates\": {\n";
-  for (std::size_t i = 0; i < gates.size(); ++i)
-    out << "    \"" << gates[i].name << "\": " << (gates[i].pass ? "true" : "false")
-        << (i + 1 == gates.size() ? "\n" : ",\n");
-  out << "  },\n"
-      << "  \"all_gates_pass\": " << (all_pass ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "\nwrote " << out_path << "\n";
-
-  return all_pass ? 0 : 1;
+  return benchgate::finish("topology_bench", out_path, gates, [&](std::ostream& out) {
+    out << "{\n"
+        << "  \"bench\": \"topology\",\n"
+        << "  \"scale\": " << format_double(scale, 3) << ",\n"
+        << "  \"nodes\": " << base.nodes << ",\n"
+        << "  \"racks\": " << base.topology.racks << ",\n"
+        << "  \"segment_bytes\": " << base.topology.segment_bytes << ",\n"
+        << "  \"request_count\": " << tr.request_count() << ",\n"
+        << "  \"flow\": {\n"
+        << "    \"message_events\": " << message.events << ",\n"
+        << "    \"flow_events\": " << flow.events << ",\n"
+        << "    \"message_traversals\": " << message.traversals << ",\n"
+        << "    \"flow_traversals\": " << flow.traversals << ",\n"
+        << "    \"event_cut\": " << format_double(event_cut, 3) << ",\n"
+        << "    \"message_digest\": \"" << message.digest << "\",\n"
+        << "    \"flow_digest\": \"" << flow.digest << "\"\n"
+        << "  },\n";
+  });
 }

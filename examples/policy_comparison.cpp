@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
     }
 
     const trace::Trace tr = exp.trace.realize();
-    const auto cfg = core::to_experiment_config(exp);
-    const auto fig = core::run_throughput_figure(tr, cfg);
+    const auto fig = core::run_figure(exp, tr, core::kFigureNodeCounts, 0);
     core::print_throughput_figure(std::cout, fig);
     std::cout << '\n';
     for (const std::string metric : {"missrate", "idle", "forwarded", "response"}) {

@@ -1,6 +1,7 @@
-// Experiment runner: node-count sweeps over the three simulated servers
-// plus the trace-calibrated model bound — the structure of Figures 7-10
-// and of the miss-rate / idle-time / forwarding studies.
+// The three simulated servers, one simulation of one of them, and the
+// shape of a node-count sweep over all three plus the model bound — the
+// structure of Figures 7-10 and of the miss-rate / idle-time / forwarding
+// studies (core::run_figure in spec.hpp runs it).
 #pragma once
 
 #include <memory>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "l2sim/core/simulation.hpp"
-#include "l2sim/model/trace_model.hpp"
 #include "l2sim/trace/characterize.hpp"
 
 namespace l2s::core {
@@ -25,12 +25,8 @@ enum class PolicyKind { kTraditional, kLard, kL2s };
 /// All simulated policies, in the order the paper's legends list them.
 [[nodiscard]] const std::vector<PolicyKind>& all_policies();
 
-struct ExperimentConfig {
-  SimConfig sim;  ///< base configuration; `sim.nodes` is overridden per point
-  std::vector<int> node_counts = {1, 2, 4, 8, 12, 16};
-  double model_replication = 0.15;  ///< R for the model bound (paper: 15%)
-  double set_shrink_seconds = 20.0; ///< LARD K / L2S decay window
-};
+/// The node counts Figures 7-10 sweep.
+inline const std::vector<int> kFigureNodeCounts = {1, 2, 4, 8, 12, 16};
 
 /// One trace's full figure: per node count, the model bound and the three
 /// simulated servers' results.
@@ -47,13 +43,5 @@ struct FigureSeries {
 /// Run one simulation.
 [[nodiscard]] SimResult run_once(const trace::Trace& trace, SimConfig sim, PolicyKind kind,
                                  double set_shrink_seconds = 20.0);
-
-/// Model bound (requests/s) for the trace at each node count.
-[[nodiscard]] std::vector<double> model_series(const trace::TraceCharacteristics& ch,
-                                               const ExperimentConfig& cfg);
-
-/// The full sweep behind one of Figures 7-10.
-[[nodiscard]] FigureSeries run_throughput_figure(const trace::Trace& trace,
-                                                 const ExperimentConfig& cfg);
 
 }  // namespace l2s::core

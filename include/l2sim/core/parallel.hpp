@@ -47,10 +47,4 @@ struct SimJob {
 [[nodiscard]] std::shared_ptr<const telemetry::Snapshot> merge_telemetry(
     const std::vector<SimResult>& results);
 
-/// Parallel variant of run_throughput_figure: identical results, wall
-/// clock divided by the usable cores.
-[[nodiscard]] FigureSeries run_throughput_figure_parallel(const trace::Trace& trace,
-                                                          const ExperimentConfig& cfg,
-                                                          unsigned threads = 0);
-
 }  // namespace l2s::core

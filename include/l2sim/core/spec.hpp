@@ -5,6 +5,7 @@
 //
 //   run_simulation(spec)  the trace-driven DES (ClusterSimulation)
 //   run_model(spec)       the analytic bound (model::TraceModel)
+//   run_figure(spec, ...) both, over a node-count sweep (Figures 7-10)
 //
 // Benches, examples and the CLI build a spec once and hand it to whichever
 // engine(s) a study needs, so simulator-vs-model comparisons are
@@ -44,11 +45,9 @@ struct TraceSpec {
   [[nodiscard]] trace::Trace realize() const;
 };
 
-/// Where results go (beyond the returned structs).
+/// Where results go (beyond the returned structs). The per-node load
+/// timeline is SimConfig::timeline_csv_path.
 struct OutputSpec {
-  std::string csv_dir;           ///< figure CSV directory ("" = no CSV)
-  std::string timeline_csv_path; ///< per-node load timeline ("" = off)
-
   /// Telemetry exports ("" = off). Setting any of these force-enables
   /// sim.telemetry for the run (there would be nothing to export
   /// otherwise).
@@ -132,9 +131,32 @@ void export_outputs(const OutputSpec& output, const SimResult& result);
 [[nodiscard]] ModelResult run_model(const ExperimentSpec& spec,
                                     const trace::Trace& trace);
 
-/// The ExperimentConfig (node-count sweep) implied by a spec — the bridge
-/// to run_throughput_figure for the Figure 7-10 benches.
-[[nodiscard]] ExperimentConfig to_experiment_config(const ExperimentSpec& spec);
+/// The sweep behind one of Figures 7-10 and the Section 5.2 studies: at
+/// every node count, the model bound (`run_model(spec_n, trace)`) and the
+/// three simulated servers, where spec_n is `base` with `sim.nodes` = n and
+/// `base.policy` is ignored. The 3 x node_counts simulations go through
+/// run_parallel with `threads` (0 = the process thread budget, 1 =
+/// inline); the result does not depend on it. `base.output` is not
+/// exported.
+[[nodiscard]] FigureSeries run_figure(const ExperimentSpec& base, const trace::Trace& trace,
+                                      const std::vector<int>& node_counts,
+                                      unsigned threads);
+
+/// The cluster a `l2sim run` or `l2sim diff` command line describes, with
+/// their defaults:
+///
+///   --nodes N (16)  --cache MB (32)  --gdsf (GDSF instead of LRU)
+///   --rate R (0 = replay)  --rpc K (1 request per connection)
+///   --skew S (0: no cached-DNS skew)
+///   the overload flags (apply_overload_cli) and topology flags
+///   (apply_topology_cli)
+///   --fail NODE@SECONDS  crash NODE at SECONDS
+///   --shrink SEC         LARD K / L2S decay window (20 s x --scale, whose
+///                        default is 0.1)
+///
+/// Leaves name, trace, policy and output at their defaults. Throws
+/// l2s::Error on a malformed value or unknown name.
+[[nodiscard]] ExperimentSpec run_spec_from_cli(const CliArgs& args);
 
 /// Apply the overload/chaos command-line flags to a spec (shared by the
 /// l2sim CLI and any downstream driver):

@@ -49,35 +49,4 @@ SimResult run_once(const trace::Trace& trace, SimConfig sim, PolicyKind kind,
   return simulation.run();
 }
 
-std::vector<double> model_series(const trace::TraceCharacteristics& ch,
-                                 const ExperimentConfig& cfg) {
-  model::ModelParams params;
-  params.cache_bytes = cfg.sim.node.cache_bytes;
-  params.replication = cfg.model_replication;
-  params.alpha = ch.alpha;
-  const model::TraceModel tm(params, ch.to_workload_stats());
-  std::vector<double> series;
-  series.reserve(cfg.node_counts.size());
-  for (const int n : cfg.node_counts) series.push_back(tm.bound(n).conscious.throughput);
-  return series;
-}
-
-FigureSeries run_throughput_figure(const trace::Trace& trace, const ExperimentConfig& cfg) {
-  FigureSeries fig;
-  fig.trace_name = trace.name();
-  fig.characteristics = trace::characterize(trace);
-  fig.node_counts = cfg.node_counts;
-  fig.model_rps = model_series(fig.characteristics, cfg);
-
-  for (const int nodes : cfg.node_counts) {
-    SimConfig sim = cfg.sim;
-    sim.nodes = nodes;
-    fig.l2s.push_back(run_once(trace, sim, PolicyKind::kL2s, cfg.set_shrink_seconds));
-    fig.lard.push_back(run_once(trace, sim, PolicyKind::kLard, cfg.set_shrink_seconds));
-    fig.traditional.push_back(
-        run_once(trace, sim, PolicyKind::kTraditional, cfg.set_shrink_seconds));
-  }
-  return fig;
-}
-
 }  // namespace l2s::core

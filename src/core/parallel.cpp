@@ -95,35 +95,4 @@ std::vector<SimResult> run_parallel(const std::vector<SimJob>& jobs, unsigned th
   return results;
 }
 
-FigureSeries run_throughput_figure_parallel(const trace::Trace& trace,
-                                            const ExperimentConfig& cfg,
-                                            unsigned threads) {
-  FigureSeries fig;
-  fig.trace_name = trace.name();
-  fig.characteristics = trace::characterize(trace);
-  fig.node_counts = cfg.node_counts;
-  fig.model_rps = model_series(fig.characteristics, cfg);
-
-  std::vector<SimJob> jobs;
-  for (const int nodes : cfg.node_counts) {
-    for (const auto kind :
-         {PolicyKind::kL2s, PolicyKind::kLard, PolicyKind::kTraditional}) {
-      SimJob job;
-      job.trace = &trace;
-      job.sim = cfg.sim;
-      job.sim.nodes = nodes;
-      job.kind = kind;
-      job.set_shrink_seconds = cfg.set_shrink_seconds;
-      jobs.push_back(job);
-    }
-  }
-  auto results = run_parallel(jobs, threads);
-  for (std::size_t i = 0; i < cfg.node_counts.size(); ++i) {
-    fig.l2s.push_back(std::move(results[3 * i]));
-    fig.lard.push_back(std::move(results[3 * i + 1]));
-    fig.traditional.push_back(std::move(results[3 * i + 2]));
-  }
-  return fig;
-}
-
 }  // namespace l2s::core

@@ -5,6 +5,7 @@
 
 #include "l2sim/analytic/hierarchical.hpp"
 #include "l2sim/common/error.hpp"
+#include "l2sim/core/parallel.hpp"
 #include "l2sim/model/trace_model.hpp"
 #include "l2sim/obs/exporters.hpp"
 #include "l2sim/telemetry/exporters.hpp"
@@ -59,8 +60,6 @@ SimResult run_simulation(const ExperimentSpec& spec) {
 
 SimResult run_simulation(const ExperimentSpec& spec, const trace::Trace& trace) {
   SimConfig sim = spec.sim;
-  if (!spec.output.timeline_csv_path.empty())
-    sim.timeline_csv_path = spec.output.timeline_csv_path;
   if (spec.output.wants_telemetry()) sim.telemetry.enabled = true;
   if (spec.output.wants_obs()) sim.obs.enabled = true;
   SimResult result = run_once(trace, sim, spec.policy, spec.set_shrink_seconds);
@@ -150,12 +149,51 @@ ModelResult run_model(const ExperimentSpec& spec, const trace::Trace& trace) {
   return r;
 }
 
-ExperimentConfig to_experiment_config(const ExperimentSpec& spec) {
-  ExperimentConfig cfg;
-  cfg.sim = spec.sim;
-  cfg.model_replication = spec.model_replication;
-  cfg.set_shrink_seconds = spec.set_shrink_seconds;
-  return cfg;
+FigureSeries run_figure(const ExperimentSpec& base, const trace::Trace& trace,
+                        const std::vector<int>& node_counts, unsigned threads) {
+  FigureSeries fig;
+  fig.trace_name = trace.name();
+  fig.node_counts = node_counts;
+  std::vector<SimJob> jobs;
+  for (const int nodes : node_counts) {
+    ExperimentSpec spec = base;
+    spec.sim.nodes = nodes;
+    const ModelResult model = run_model(spec, trace);
+    fig.characteristics = model.characteristics;
+    fig.model_rps.push_back(model.throughput_rps);
+    for (const PolicyKind kind : {PolicyKind::kL2s, PolicyKind::kLard, PolicyKind::kTraditional})
+      jobs.push_back({.trace = &trace,
+                      .sim = spec.sim,
+                      .kind = kind,
+                      .set_shrink_seconds = spec.set_shrink_seconds});
+  }
+  auto results = run_parallel(jobs, threads);
+  for (std::size_t i = 0; i < node_counts.size(); ++i) {
+    fig.l2s.push_back(std::move(results[3 * i]));
+    fig.lard.push_back(std::move(results[3 * i + 1]));
+    fig.traditional.push_back(std::move(results[3 * i + 2]));
+  }
+  return fig;
+}
+
+ExperimentSpec run_spec_from_cli(const CliArgs& args) {
+  ExperimentSpec spec;
+  SimConfig& cfg = spec.sim;
+  cfg.nodes = args.get_int("nodes", 16);
+  cfg.node.cache_bytes = static_cast<Bytes>(
+      args.get_double("cache", 32.0) * static_cast<double>(kMiB));
+  if (args.has("gdsf")) cfg.node.cache_policy = cluster::CachePolicy::kGdsf;
+  cfg.arrival.open_loop_rate = args.get_double("rate", 0.0);
+  cfg.persistence.mean_requests_per_connection = args.get_double("rpc", 1.0);
+  cfg.arrival.dns_entry_skew = args.get_double("skew", 0.0);
+  apply_overload_cli(args, spec);
+  apply_topology_cli(args, spec);
+  if (args.has("fail")) {
+    const auto [node, at] = args.get_int_at_double("fail");
+    cfg.fault_plan.crashes.push_back({node, at});
+  }
+  spec.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
+  return spec;
 }
 
 void apply_overload_cli(const CliArgs& args, ExperimentSpec& spec) {

@@ -219,5 +219,70 @@ TEST(OverloadCli, UnknownNamesThrow) {
   EXPECT_THROW(core::apply_overload_cli(parse({"--shedder=drop-tail"}), spec), Error);
 }
 
+// `l2sim run` and `l2sim diff` build their base spec through one function,
+// so a flag either reaches both commands or neither.
+TEST(RunSpecCli, ClusterFlagsAndDefaults) {
+  const auto defaults = core::run_spec_from_cli(parse({}));
+  EXPECT_EQ(defaults.sim.nodes, 16);
+  EXPECT_EQ(defaults.sim.node.cache_bytes, 32 * kMiB);
+  EXPECT_EQ(defaults.sim.node.cache_policy, cluster::CachePolicy::kLru);
+  EXPECT_DOUBLE_EQ(defaults.set_shrink_seconds, 2.0);  // 20 s x the default 0.1 scale
+  EXPECT_TRUE(defaults.sim.fault_plan.crashes.empty());
+
+  const auto spec = core::run_spec_from_cli(
+      parse({"--nodes", "8", "--cache", "16", "--gdsf", "--rate", "500", "--rpc", "4",
+             "--skew", "0.5", "--fail", "3@1.5", "--scale", "0.05", "--shedder", "aimd"}));
+  EXPECT_EQ(spec.sim.nodes, 8);
+  EXPECT_EQ(spec.sim.node.cache_bytes, 16 * kMiB);
+  EXPECT_EQ(spec.sim.node.cache_policy, cluster::CachePolicy::kGdsf);
+  EXPECT_DOUBLE_EQ(spec.sim.arrival.open_loop_rate, 500.0);
+  EXPECT_DOUBLE_EQ(spec.sim.persistence.mean_requests_per_connection, 4.0);
+  EXPECT_DOUBLE_EQ(spec.sim.arrival.dns_entry_skew, 0.5);
+  ASSERT_EQ(spec.sim.fault_plan.crashes.size(), 1u);
+  EXPECT_EQ(spec.sim.fault_plan.crashes[0].node, 3);
+  EXPECT_DOUBLE_EQ(spec.sim.fault_plan.crashes[0].at_seconds, 1.5);
+  EXPECT_DOUBLE_EQ(spec.set_shrink_seconds, 1.0);
+  EXPECT_EQ(spec.sim.overload.shedder, core::ShedderKind::kAimd);
+  EXPECT_DOUBLE_EQ(core::run_spec_from_cli(parse({"--shrink", "7"})).set_shrink_seconds, 7.0);
+}
+
+TEST(RunSpecCli, TopologyFlagsReachTheSpec) {
+  struct Row {
+    std::vector<const char*> argv;
+    net::TopologyKind kind;
+    int racks;
+    int fat_tree_k;
+  };
+  const std::vector<Row> rows = {
+      {{}, net::TopologyKind::kSingleSwitch, 4, 4},
+      {{"--topology", "single"}, net::TopologyKind::kSingleSwitch, 4, 4},
+      {{"--topology", "rack", "--racks", "2"}, net::TopologyKind::kRackAware, 2, 4},
+      {{"--topology", "fattree", "--fat-tree-k", "6"}, net::TopologyKind::kFatTree, 4, 6},
+  };
+  for (const auto& row : rows) {
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), row.argv.begin(), row.argv.end());
+    const CliArgs a(static_cast<int>(argv.size()), argv.data(), 1);
+    const auto topo = core::run_spec_from_cli(a).sim.topology;
+    EXPECT_EQ(topo.kind, row.kind) << (row.argv.empty() ? "(none)" : row.argv[1]);
+    EXPECT_EQ(topo.racks, row.racks);
+    EXPECT_EQ(topo.fat_tree_k, row.fat_tree_k);
+  }
+  const auto rack = core::run_spec_from_cli(parse({"--topology=rack", "--oversub=2",
+                                                   "--segment-bytes=512", "--flow-level"}));
+  EXPECT_DOUBLE_EQ(rack.sim.topology.oversubscription, 2.0);
+  EXPECT_EQ(rack.sim.topology.segment_bytes, 512u);
+  EXPECT_TRUE(rack.sim.topology.flow_level);
+
+  // An unknown kind stops `l2sim run` and `l2sim diff` alike.
+  try {
+    (void)core::run_spec_from_cli(parse({"--nodes", "4", "--topology", "bogus"}));
+    ADD_FAILURE() << "accepted --topology bogus";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--topology: unknown kind 'bogus'"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace l2s

@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "l2sim/common/error.hpp"
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/report.hpp"
+#include "l2sim/core/spec.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
 namespace l2s::core {
@@ -24,11 +26,16 @@ trace::Trace workload() {
   return trace::generate(spec);
 }
 
-ExperimentConfig small_experiment() {
-  ExperimentConfig cfg;
-  cfg.sim.node.cache_bytes = 2 * kMiB;
-  cfg.node_counts = {1, 2, 4};
-  return cfg;
+ExperimentSpec small_experiment() {
+  ExperimentSpec spec;
+  spec.sim.node.cache_bytes = 2 * kMiB;
+  return spec;
+}
+
+const std::vector<int> kSmallNodeCounts = {1, 2, 4};
+
+FigureSeries small_figure(const trace::Trace& tr) {
+  return run_figure(small_experiment(), tr, kSmallNodeCounts, 1);
 }
 
 TEST(Experiment, MakePolicyProducesRightTypes) {
@@ -46,7 +53,7 @@ TEST(Experiment, PolicyKindNames) {
 
 TEST(Experiment, FigureSeriesShape) {
   const auto tr = workload();
-  const auto fig = run_throughput_figure(tr, small_experiment());
+  const auto fig = small_figure(tr);
   EXPECT_EQ(fig.trace_name, "exp");
   ASSERT_EQ(fig.node_counts.size(), 3u);
   EXPECT_EQ(fig.model_rps.size(), 3u);
@@ -62,23 +69,35 @@ TEST(Experiment, FigureSeriesShape) {
 
 TEST(Experiment, ModelSeriesGrowsWithNodes) {
   const auto tr = workload();
-  const auto ch = trace::characterize(tr);
-  const auto series = model_series(ch, small_experiment());
+  const auto series = small_figure(tr).model_rps;
   ASSERT_EQ(series.size(), 3u);
   EXPECT_LT(series[0], series[1]);
   EXPECT_LT(series[1], series[2]);
 }
 
+// The figure's model column is the analytic engine at each node count, so
+// a figure and a one-off run_model of the same spec cannot disagree.
+TEST(Experiment, ModelColumnIsRunModelAtEachNodeCount) {
+  const auto tr = workload();
+  const auto fig = small_figure(tr);
+  ASSERT_EQ(fig.model_rps.size(), kSmallNodeCounts.size());
+  for (std::size_t i = 0; i < kSmallNodeCounts.size(); ++i) {
+    ExperimentSpec spec = small_experiment();
+    spec.sim.nodes = kSmallNodeCounts[i];
+    EXPECT_EQ(fig.model_rps[i], run_model(spec, tr).throughput_rps) << "nodes " << spec.sim.nodes;
+  }
+}
+
 TEST(Experiment, CharacteristicsStoredInFigure) {
   const auto tr = workload();
-  const auto fig = run_throughput_figure(tr, small_experiment());
+  const auto fig = small_figure(tr);
   EXPECT_EQ(fig.characteristics.files, 400u);
   EXPECT_EQ(fig.characteristics.requests, 6000u);
 }
 
 TEST(Report, PrintedTableHasAllSeries) {
   const auto tr = workload();
-  const auto fig = run_throughput_figure(tr, small_experiment());
+  const auto fig = small_figure(tr);
   std::ostringstream os;
   print_throughput_figure(os, fig);
   const std::string out = os.str();
@@ -88,7 +107,7 @@ TEST(Report, PrintedTableHasAllSeries) {
 
 TEST(Report, MetricFigureAndValues) {
   const auto tr = workload();
-  const auto fig = run_throughput_figure(tr, small_experiment());
+  const auto fig = small_figure(tr);
   for (const std::string metric : {"missrate", "idle", "forwarded", "response", "throughput"}) {
     std::ostringstream os;
     print_metric_figure(os, fig, metric);
@@ -101,9 +120,7 @@ TEST(Report, MetricFigureAndValues) {
 
 TEST(Report, CsvWrittenWhenDirGiven) {
   const auto tr = workload();
-  ExperimentConfig cfg = small_experiment();
-  cfg.node_counts = {1, 2};
-  const auto fig = run_throughput_figure(tr, cfg);
+  const auto fig = run_figure(small_experiment(), tr, {1, 2}, 1);
   const std::string dir = ::testing::TempDir();
   write_throughput_csv(fig, dir, "l2sim_fig_test");
   std::ifstream in(dir + "/l2sim_fig_test.csv");

@@ -4,7 +4,9 @@
 
 #include "l2sim/common/env.hpp"
 #include "l2sim/common/error.hpp"
+#include "l2sim/core/metrics.hpp"
 #include "l2sim/core/parallel.hpp"
+#include "l2sim/core/spec.hpp"
 #include "l2sim/telemetry/registry.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
@@ -179,18 +181,18 @@ TEST(Parallel, MergeTelemetrySkipsJobsWithoutIt) {
 
 TEST(Parallel, FigureMatchesSerialRunner) {
   const auto tr = workload();
-  ExperimentConfig cfg;
-  cfg.sim.node.cache_bytes = kMiB;
-  cfg.node_counts = {1, 2};
-  const auto serial = run_throughput_figure(tr, cfg);
-  const auto parallel = run_throughput_figure_parallel(tr, cfg, 4);
+  ExperimentSpec spec;
+  spec.sim.node.cache_bytes = kMiB;
+  const auto serial = run_figure(spec, tr, {1, 2}, 1);
+  const auto parallel = run_figure(spec, tr, {1, 2}, 4);
   ASSERT_EQ(serial.node_counts, parallel.node_counts);
+  ASSERT_EQ(parallel.l2s.size(), 2u);
   for (std::size_t i = 0; i < serial.node_counts.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.l2s[i].throughput_rps, parallel.l2s[i].throughput_rps);
-    EXPECT_DOUBLE_EQ(serial.lard[i].throughput_rps, parallel.lard[i].throughput_rps);
-    EXPECT_DOUBLE_EQ(serial.traditional[i].throughput_rps,
-                     parallel.traditional[i].throughput_rps);
-    EXPECT_DOUBLE_EQ(serial.model_rps[i], parallel.model_rps[i]);
+    EXPECT_EQ(result_digest_hex(serial.l2s[i]), result_digest_hex(parallel.l2s[i]));
+    EXPECT_EQ(result_digest_hex(serial.lard[i]), result_digest_hex(parallel.lard[i]));
+    EXPECT_EQ(result_digest_hex(serial.traditional[i]),
+              result_digest_hex(parallel.traditional[i]));
+    EXPECT_EQ(serial.model_rps[i], parallel.model_rps[i]);
   }
 }
 

@@ -11,18 +11,20 @@
 //   l2sim trace convert --clf access.log --out t.l2st
 //   l2sim run --trace t.l2st|--paper calgary --policy l2s|lard|trad|rr
 //             [--nodes N] [--cache MB] [--scale S] [--rate R] [--rpc K]
-//             [--fail NODE@SECONDS] [--threads T for sweeps]
+//             [--fail NODE@SECONDS]
 //   l2sim figure --paper calgary [--scale S] [--csv DIR] [--threads T]
+//             (Figures 7-10 and the Section 5.2 miss-rate, idle-time and
+//             forwarding tables from one sweep)
 //
 // Every command prints a human-readable table; figures can also emit CSV.
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "l2sim/common/cli_args.hpp"
 #include "l2sim/l2sim.hpp"
-#include "l2sim/core/parallel.hpp"
 #include "l2sim/policy/round_robin.hpp"
 
 namespace {
@@ -58,6 +60,7 @@ int usage() {
       "                 [--trace-out T.json] [--metrics-out M.csv]\n"
       "                 [--timeseries-out TS.csv] [--spans-out S.csv]\n"
       "                 [--span-sample N] [--decisions-out D.csv]\n"
+      "                 [--timeline FILE]\n"
       "                 [--arrival stationary|flash|diurnal] [--chaos-seed N]\n"
       "                 [--flash-at S --flash-factor F --flash-ramp S\n"
       "                  --flash-hold S] [--diurnal-period S --diurnal-amp A]\n"
@@ -69,6 +72,8 @@ int usage() {
       "                 [--oversub X] [--fat-tree-k K] [--segment-bytes N]\n"
       "                 [--flow-level]\n"
       "  figure         --paper NAME [--scale S] [--csv DIR] [--threads T]\n"
+      "                 Figures 7-10 plus the Section 5.2 miss-rate, idle\n"
+      "                 and forwarding tables, from one sweep\n"
       "  diff           (--trace FILE | --paper NAME [--scale S]) [run flags]\n"
       "                 [--seed-a N] [--seed-b N] [--policy-a P]\n"
       "                 [--policy-b P]\n"
@@ -313,19 +318,10 @@ std::unique_ptr<policy::Policy> policy_by_name(const std::string& name, double s
 
 int cmd_run(const Args& args) {
   const auto tr = load_trace(args);
-  core::ExperimentSpec spec;
+  core::ExperimentSpec spec = core::run_spec_from_cli(args);
   spec.name = tr.name();
   core::SimConfig& cfg = spec.sim;
-  cfg.nodes = args.get_int("nodes", 16);
-  cfg.node.cache_bytes = static_cast<Bytes>(
-      args.get_double("cache", 32.0) * static_cast<double>(kMiB));
-  if (args.has("gdsf")) cfg.node.cache_policy = cluster::CachePolicy::kGdsf;
-  cfg.arrival.open_loop_rate = args.get_double("rate", 0.0);
-  cfg.persistence.mean_requests_per_connection = args.get_double("rpc", 1.0);
-  cfg.arrival.dns_entry_skew = args.get_double("skew", 0.0);
-  core::apply_overload_cli(args, spec);
-  core::apply_topology_cli(args, spec);
-  if (args.has("timeline")) spec.output.timeline_csv_path = args.get("timeline");
+  if (args.has("timeline")) cfg.timeline_csv_path = args.get("timeline");
   // Telemetry: any export flag enables the recorder for the run.
   if (args.has("trace-out")) spec.output.trace_json_path = args.get("trace-out");
   if (args.has("metrics-out")) spec.output.metrics_csv_path = args.get("metrics-out");
@@ -339,11 +335,6 @@ int cmd_run(const Args& args) {
     cfg.telemetry.span_sample_every =
         static_cast<std::uint64_t>(args.get_int("span-sample", 64));
   }
-  if (args.has("fail")) {
-    const auto [node, at] = args.get_int_at_double("fail");
-    cfg.fault_plan.crashes.push_back({node, at});
-  }
-  spec.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
   const std::string pname = args.get("policy", "l2s");
   const auto r = [&]() -> core::SimResult {
     if (pname == "l2s") spec.policy = core::PolicyKind::kL2s;
@@ -353,8 +344,6 @@ int cmd_run(const Args& args) {
     else {
       // Policies outside PolicyKind (round robin) drive the simulator
       // directly from the spec's SimConfig.
-      if (!spec.output.timeline_csv_path.empty())
-        cfg.timeline_csv_path = spec.output.timeline_csv_path;
       if (spec.output.wants_telemetry()) cfg.telemetry.enabled = true;
       if (spec.output.wants_obs()) cfg.obs.enabled = true;
       core::ClusterSimulation sim(cfg, tr,
@@ -399,22 +388,8 @@ int cmd_run(const Args& args) {
 // runs should have matched digests and didn't".
 int cmd_diff(const Args& args) {
   const auto tr = load_trace(args);
-  core::ExperimentSpec base;
+  core::ExperimentSpec base = core::run_spec_from_cli(args);
   base.name = tr.name();
-  core::SimConfig& cfg = base.sim;
-  cfg.nodes = args.get_int("nodes", 16);
-  cfg.node.cache_bytes = static_cast<Bytes>(
-      args.get_double("cache", 32.0) * static_cast<double>(kMiB));
-  if (args.has("gdsf")) cfg.node.cache_policy = cluster::CachePolicy::kGdsf;
-  cfg.arrival.open_loop_rate = args.get_double("rate", 0.0);
-  cfg.persistence.mean_requests_per_connection = args.get_double("rpc", 1.0);
-  cfg.arrival.dns_entry_skew = args.get_double("skew", 0.0);
-  core::apply_overload_cli(args, base);
-  if (args.has("fail")) {
-    const auto [node, at] = args.get_int_at_double("fail");
-    cfg.fault_plan.crashes.push_back({node, at});
-  }
-  base.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
   base.policy = policy_kind_by_name(args.get("policy", "l2s"));
 
   core::ExperimentSpec a = base;
@@ -433,23 +408,59 @@ int cmd_diff(const Args& args) {
   return report.diverged ? 3 : 0;
 }
 
+// figure: the Figure 7-10 sweep for one paper trace, and the Section 5.2
+// miss-rate, idle-time and forwarding tables read from the same results.
 int cmd_figure(const Args& args) {
   if (!args.has("paper")) throw Error("figure: --paper NAME required");
   const double scale = args.get_double("scale", 0.1);
   core::ExperimentSpec spec;
   spec.name = args.get("paper");
   spec.trace = core::TraceSpec::paper(spec.name, scale);
-  spec.sim.node.cache_bytes = 32 * kMiB;
+  spec.sim.node.cache_bytes = 32 * kMiB;  // the paper's simulation memory size
+  // The 20 s replication-decay windows cover the same fraction of a
+  // truncated replay as they do of a full-length one.
   spec.set_shrink_seconds = 20.0 * scale;
 
   const auto tr = spec.trace.realize();
-  const auto cfg = core::to_experiment_config(spec);
   const auto threads = static_cast<unsigned>(args.get_int("threads", 0));
-  const auto fig = threads == 1 ? core::run_throughput_figure(tr, cfg)
-                                : core::run_throughput_figure_parallel(tr, cfg, threads);
+  const auto fig = core::run_figure(spec, tr, core::kFigureNodeCounts, threads);
+  const std::string csv_dir = args.get("csv", "");
+
   core::print_throughput_figure(std::cout, fig);
-  if (args.has("csv"))
-    core::write_throughput_csv(fig, args.get("csv"), "figure_" + tr.name());
+  core::write_throughput_csv(fig, csv_dir, "figure_" + tr.name());
+  // The paper's comparisons at the largest cluster (shapes, not absolute
+  // numbers, are what the reproduction checks).
+  const std::size_t last = fig.node_counts.size() - 1;
+  const double l2s_last = fig.l2s[last].throughput_rps;
+  std::cout << "\nat " << fig.node_counts[last] << " nodes: L2S/model = "
+            << format_double(l2s_last / fig.model_rps[last] * 100.0, 1)
+            << "%  L2S/LARD = "
+            << format_double(l2s_last / fig.lard[last].throughput_rps, 2)
+            << "x  L2S/trad = "
+            << format_double(l2s_last / fig.traditional[last].throughput_rps, 2) << "x\n";
+
+  const std::pair<const char*, const char*> studies[] = {
+      {"missrate", "missrate_"}, {"idle", "idle_"}, {"forwarded", "forwarding_"}};
+  for (const auto& [metric, csv_prefix] : studies) {
+    std::cout << '\n';
+    core::print_metric_figure(std::cout, fig, metric);
+    CsvWriter csv(csv_dir, csv_prefix + tr.name(), {"nodes", "l2s", "lard", "trad"});
+    for (std::size_t i = 0; i < fig.node_counts.size(); ++i)
+      csv.add_row({std::to_string(fig.node_counts[i]),
+                   format_double(core::metric_value(fig.l2s[i], metric), 2),
+                   format_double(core::metric_value(fig.lard[i], metric), 2),
+                   format_double(core::metric_value(fig.traditional[i], metric), 2)});
+  }
+
+  std::cout << "\nL2S forwarded";
+  const char* sep = ": ";
+  for (std::size_t i = 0; i < fig.node_counts.size(); ++i) {
+    if (fig.node_counts[i] != 4 && fig.node_counts[i] != 16) continue;
+    std::cout << sep << format_double(fig.l2s[i].forwarded_fraction * 100.0, 1) << "% at "
+              << fig.node_counts[i] << " nodes";
+    sep = ", ";
+  }
+  std::cout << " (LARD forwards 100%)\n";
   return 0;
 }
 
