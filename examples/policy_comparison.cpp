@@ -4,20 +4,40 @@
 //
 //   $ ./policy_comparison calgary|clarknet|nasa|rutgers [scale]
 //   $ ./policy_comparison --clf access.log
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "l2sim/l2sim.hpp"
 
+namespace {
+
+int usage() {
+  std::cerr << "usage: policy_comparison <calgary|clarknet|nasa|rutgers> [scale]\n"
+            << "       policy_comparison --clf <access.log>\n"
+            << "scale: a finite number > 0 (default 0.05)\n";
+  return 1;
+}
+
+/// The whole of `text` as a finite number > 0; nothing otherwise.
+std::optional<double> parse_scale(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value) || value <= 0.0)
+    return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace l2s;
 
-  if (argc < 2) {
-    std::cerr << "usage: policy_comparison <calgary|clarknet|nasa|rutgers> [scale]\n"
-              << "       policy_comparison --clf <access.log>\n";
-    return 1;
-  }
+  if (argc < 2) return usage();
 
   try {
     // One declarative spec covers both workload sources; the sweep below
@@ -32,7 +52,9 @@ int main(int argc, char** argv) {
       }
       exp.trace = core::TraceSpec::clf(argv[2]);
     } else {
-      const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+      const std::optional<double> parsed = argc > 2 ? parse_scale(argv[2]) : 0.05;
+      if (!parsed) return usage();
+      const double scale = *parsed;
       exp.trace = core::TraceSpec::paper(argv[1], scale);
       // Replication decays over the paper's 20 s window at full trace
       // length; scale it with the truncation so the decay covers the same

@@ -2,10 +2,20 @@
 // and the router. Jobs queue in arrival order; the resource tracks busy
 // time (for utilization/idle-time reports) and queue statistics.
 //
-// The resource owns the continuation of the job in service: its `done`
-// and service time sit in member slots and the completion event captures
-// only `this`, so the event fits InlineEvent's buffer whatever the
-// caller's continuation captured.
+// A queue entry is a run: k jobs with one service time and one step
+// callable that fires after each of them. A plain submit is a run of one
+// whose step is its continuation. A run lets an owner queue k identical
+// jobs (a broadcast's N-1 sends) as one entry; every job still completes
+// at the time it would as a single submit, and queue_length(),
+// jobs_completed() and busy_time() count jobs, not entries. A run its
+// owner tagged can grow by one job while it is the resource's tail.
+//
+// The resource owns the entry in service: its step and service time sit
+// in a member slot and the completion event captures only `this`, so the
+// event fits InlineEvent's buffer whatever the caller's step captured. A
+// run's step fires in place in that slot after every job but its last;
+// the last job's step is moved out first, since the next entry starts in
+// the slot before it fires.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +28,9 @@ namespace l2s::des {
 
 class Resource {
  public:
+  /// The tag of a run no one may extend (every plain submit).
+  static constexpr std::uint32_t kNoTag = 0;
+
   Resource(Scheduler& sched, std::string name);
 
   Resource(const Resource&) = delete;
@@ -26,10 +39,25 @@ class Resource {
   /// Enqueue a job needing `service` time; `done` fires at completion.
   void submit(SimTime service, EventFn done);
 
+  /// Enqueue a run of `jobs` jobs needing `service` time each; `step`
+  /// fires after each of them. The next job's completion is scheduled
+  /// before the step fires, so a step that submits here queues behind the
+  /// rest of the run. While the run is the tail of this resource (queued
+  /// or in service) extend(tag) adds a job to it, unless `tag` is kNoTag.
+  /// The owner must not reuse a tag while a run carrying it is queued.
+  void submit_run(SimTime service, std::uint32_t jobs, EventFn step,
+                  std::uint32_t tag = kNoTag);
+
+  /// Add one job to the tail entry if it is a run tagged `tag` (queued or
+  /// in service). Returns false, changing nothing, otherwise.
+  bool extend(std::uint32_t tag);
+
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool busy() const { return busy_; }
   /// Jobs waiting behind the one in service.
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_length() const {
+    return queue_.size() + static_cast<std::size_t>(run_jobs_waiting_);
+  }
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_; }
   [[nodiscard]] SimTime busy_time() const { return busy_time_; }
 
@@ -42,19 +70,25 @@ class Resource {
 
  private:
   struct Job {
-    SimTime service;
-    EventFn done;
+    SimTime service = 0;
+    std::uint32_t more = 0;      ///< jobs of the run after the first (in service: after the current)
+    std::uint32_t tag = kNoTag;  ///< who may extend the run
+    EventFn step;
   };
 
-  void start(SimTime service, EventFn&& done);
+  void start(SimTime service, std::uint32_t more, std::uint32_t tag, EventFn&& step);
   void complete();
+  void next_in_run();  ///< complete()'s path for a run with jobs left
 
   Scheduler& sched_;
   std::string name_;
   std::deque<Job> queue_;
-  EventFn in_service_done_;     ///< continuation of the job in service
-  SimTime in_service_time_ = 0; ///< its service time
+  Job in_service_;  ///< the entry whose job is in service
   bool busy_ = false;
+  /// Jobs waiting inside runs beyond each queue entry's first: the `more`
+  /// of every queued run and of the one in service. queue_length() adds
+  /// the entries themselves.
+  std::uint64_t run_jobs_waiting_ = 0;
   SimTime busy_time_ = 0;
   std::uint64_t jobs_ = 0;
 };

@@ -5,15 +5,21 @@
 // core hops and capacitated link transfers for the multi-switch
 // topologies), 6 us + payload/1Gbit/s receiver NIC, 3 us receiver CPU —
 // 19 us one-way for a 4-byte message on the single switch, matching the
-// paper's M-VIA measurements. Broadcasts are implemented as N-1
+// paper's M-VIA measurements. Broadcasts are charged as N-1
 // point-to-point messages, exactly as the paper's simulator does — each
 // one charged along its own topology path, so a cross-rack destination
 // pays its real hop count.
 //
-// Every in-flight message lives in a record of the network's message pool
-// (continuation, endpoints, size, NIC time, fault decisions), and each hop
-// schedules only `[this, id]`. The pool grows in fixed-size chunks threaded
-// on a free list, so a record never moves while its message is in flight.
+// Every message past the sender lives in a record of the network's
+// message pool (continuation, endpoints, size, NIC time, fault decisions),
+// and each hop schedules only `[this, id]`. A broadcast takes one record
+// of the broadcast pool (handler, source, size, NIC time, live-message
+// count) and queues its N-1 sends as one run on the sender's CPU. A
+// message with a healthy fault draw then joins the broadcast's run at the
+// tail of the sender's NIC-tx queue and takes its message record only as
+// it leaves the NIC; a dropped, duplicated or delayed one leaves that run
+// and travels alone. Both pools grow in fixed-size chunks threaded on a
+// free list, so a record never moves while it is in use.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +81,10 @@ class ViaNetwork {
   /// Full VIA send including both CPU overheads.
   void send(int src, int dst, Bytes bytes, des::EventFn on_delivered);
 
-  /// N-1 point-to-point sends; `on_delivered(dst)` fires per delivered
-  /// destination. The messages share one copy of `on_delivered`, released
-  /// once the last of them is delivered or dropped.
+  /// N-1 point-to-point sends, to every other endpoint in id order;
+  /// `on_delivered(dst)` fires per delivered destination. The messages
+  /// share one copy of `on_delivered`, released once the last of them is
+  /// delivered or dropped. Every event equals that of N-1 send() calls.
   void broadcast(int src, Bytes bytes, std::function<void(int dst)> on_delivered);
 
   /// Install (or clear, with nullptr) the per-message fault oracle. The
@@ -105,9 +112,7 @@ class ViaNetwork {
   [[nodiscard]] int endpoints() const { return static_cast<int>(endpoints_.size()); }
   /// Message records the pool holds, free or in flight: a multiple of the
   /// chunk size, never shrinking.
-  [[nodiscard]] std::size_t message_pool_capacity() const {
-    return chunks_.size() * kChunkSize;
-  }
+  [[nodiscard]] std::size_t message_pool_capacity() const { return message_pool_.capacity(); }
 
   /// Zero every counter, including the fault-layer ones. (This used to
   /// clear only messages_, which made warm-up drops bleed into measured
@@ -126,43 +131,93 @@ class ViaNetwork {
   /// flow network.
   enum class Kind : std::uint8_t { kWire, kSend, kFlow };
 
-  /// One in-flight message: everything its remaining hops need.
+  static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+
+  /// Records of type T (which has a `next_free` link) in fixed-size
+  /// chunks threaded on a free list. Chunks never move, so a record stays
+  /// put while a handler that holds it takes new ones.
+  template <typename T>
+  class Pool {
+   public:
+    [[nodiscard]] std::uint32_t acquire();
+    void release(std::uint32_t id) {
+      T& r = (*this)[id];
+      r.next_free = free_head_;
+      free_head_ = id;
+    }
+    [[nodiscard]] T& operator[](std::uint32_t id) {
+      return chunks_[id >> kChunkBits][id & (kChunkSize - 1)];
+    }
+    [[nodiscard]] std::size_t capacity() const { return chunks_.size() * kChunkSize; }
+
+   private:
+    static constexpr std::uint32_t kChunkBits = 10;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::uint32_t free_head_ = kNoRecord;
+  };
+
+  /// One message past the sender: everything its remaining hops need.
   struct Message {
-    des::EventFn done;
+    des::EventFn done;        ///< continuation, unless it is a broadcast's
     SimTime xfer = 0;         ///< NIC service time, paid at both ends
     SimTime extra_delay = 0;  ///< fault-injected delay before the rx NIC
     Bytes bytes = 0;
     int src = 0;
     int dst = 0;
     std::uint32_t next_free = 0;  ///< free-list link while unused
+    std::uint32_t broadcast = kNoRecord;  ///< the broadcast it belongs to
     Kind kind = Kind::kWire;
     bool duplicate = false;   ///< fault-injected copy burns rx NIC time
   };
-  static constexpr std::uint32_t kChunkBits = 10;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
-  static constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
+
+  /// One broadcast with messages not yet delivered or dropped.
+  struct Broadcast {
+    std::function<void(int dst)> on_delivered;
+    SimTime xfer = 0;         ///< NIC service time of each message
+    Bytes bytes = 0;
+    int src = 0;
+    std::uint32_t live = 0;   ///< messages neither delivered nor dropped
+    std::uint32_t next_free = 0;
+  };
 
   void check_pair(int src, int dst) const;
   [[nodiscard]] std::uint32_t acquire(int src, int dst, Bytes bytes, Kind kind,
                                       des::EventFn done);
-  void release(std::uint32_t id);
-  [[nodiscard]] Message& message(std::uint32_t id) {
-    return chunks_[id >> kChunkBits][id & (kChunkSize - 1)];
+  void release(std::uint32_t id) {
+    message_pool_[id].done = nullptr;
+    message_pool_.release(id);
   }
+  [[nodiscard]] Message& message(std::uint32_t id) { return message_pool_[id]; }
+  /// Count a message leaving its sender's CPU (or, for a wire-only
+  /// transfer, its caller) and consult the fault oracle for it.
+  [[nodiscard]] LinkFault draw(int src, int dst);
 
   // The hops of one message, in order.
-  void launch(std::uint32_t id);     ///< fault oracle, then tx NIC or flow
+  void launch(std::uint32_t id);     ///< fault oracle, then depart
+  void depart(std::uint32_t id, const LinkFault& fault);  ///< tx NIC or flow
   void traverse(std::uint32_t id);   ///< topology path after the tx NIC
   void traversed(std::uint32_t id);  ///< fault-injected extra delay
   void arrive(std::uint32_t id);     ///< rx NIC (plus a duplicate copy)
   void received(std::uint32_t id);   ///< receiver CPU or `done` directly
 
+  // The sender side of broadcast `b`'s message to `dst`, then its delivery.
+  /// A run's step: job i passes `hop` the broadcast's i-th destination
+  /// from `first` on (every endpoint but the source, in id order).
+  template <void (ViaNetwork::*hop)(std::uint32_t, int)>
+  [[nodiscard]] des::EventFn walk(std::uint32_t b, int first);
+  void leave_cpu(std::uint32_t b, int dst);  ///< fault oracle, then tx NIC
+  void leave_nic(std::uint32_t b, int dst);  ///< takes the message record
+  [[nodiscard]] std::uint32_t acquire_message(std::uint32_t b, int dst);
+  void deliver(std::uint32_t b, int dst);
+  void settle(std::uint32_t b);  ///< one message done; the last frees `b`
+
   des::Scheduler& sched_;
   Topology& topo_;
   const NetParams& params_;
   std::vector<Endpoint> endpoints_;
-  std::vector<std::unique_ptr<Message[]>> chunks_;
-  std::uint32_t free_head_ = kNoFree;
+  Pool<Message> message_pool_;
+  Pool<Broadcast> broadcast_pool_;
   LinkFaultModel* fault_model_ = nullptr;
   FlowNetwork* flow_ = nullptr;
   std::uint64_t messages_ = 0;

@@ -11,32 +11,73 @@ void Resource::submit(SimTime service, EventFn done) {
   L2S_REQUIRE(service >= 0);
   // An idle resource has an empty queue: the job starts at once.
   if (!busy_) {
-    start(service, std::move(done));
+    start(service, 0, kNoTag, std::move(done));
     return;
   }
-  queue_.push_back(Job{service, std::move(done)});
+  queue_.push_back(Job{service, 0, kNoTag, std::move(done)});
 }
 
-void Resource::start(SimTime service, EventFn&& done) {
+void Resource::submit_run(SimTime service, std::uint32_t jobs, EventFn step,
+                          std::uint32_t tag) {
+  L2S_REQUIRE(service >= 0);
+  L2S_REQUIRE(jobs > 0);
+  run_jobs_waiting_ += jobs - 1;
+  if (!busy_) {
+    start(service, jobs - 1, tag, std::move(step));
+    return;
+  }
+  queue_.push_back(Job{service, jobs - 1, tag, std::move(step)});
+}
+
+bool Resource::extend(std::uint32_t tag) {
+  L2S_REQUIRE(tag != kNoTag);
+  if (!queue_.empty()) {
+    Job& tail = queue_.back();
+    if (tail.tag != tag) return false;
+    ++tail.more;
+  } else {
+    if (!busy_ || in_service_.tag != tag) return false;
+    ++in_service_.more;
+  }
+  ++run_jobs_waiting_;
+  return true;
+}
+
+void Resource::start(SimTime service, std::uint32_t more, std::uint32_t tag,
+                     EventFn&& step) {
   busy_ = true;
-  in_service_time_ = service;
-  in_service_done_ = std::move(done);
+  in_service_.service = service;
+  in_service_.more = more;
+  in_service_.tag = tag;
+  in_service_.step = std::move(step);
   sched_.after(service, [this]() { complete(); });
 }
 
 void Resource::complete() {
-  busy_time_ += in_service_time_;
+  busy_time_ += in_service_.service;
   ++jobs_;
+  if (in_service_.more > 0) {
+    next_in_run();
+    return;
+  }
   busy_ = false;
   // The next job's completion is scheduled before this job's continuation
   // runs, so take the continuation out of the slot start() refills.
-  EventFn done = std::move(in_service_done_);
+  EventFn done = std::move(in_service_.step);
   if (!queue_.empty()) {
     Job& next = queue_.front();
-    start(next.service, std::move(next.done));
+    start(next.service, next.more, next.tag, std::move(next.step));
     queue_.pop_front();
   }
   done();
+}
+
+void Resource::next_in_run() {
+  // The run's next job starts now; its step fires in its slot.
+  --in_service_.more;
+  --run_jobs_waiting_;
+  sched_.after(in_service_.service, [this]() { complete(); });
+  in_service_.step();
 }
 
 double Resource::utilization(SimTime elapsed) const {

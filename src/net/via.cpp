@@ -5,6 +5,34 @@
 
 namespace l2s::net {
 
+namespace {
+
+/// The endpoint after `dst` in a broadcast from `src`: every other
+/// endpoint, in id order. next_peer(-1, src) is the first.
+int next_peer(int dst, int src) {
+  ++dst;
+  return dst == src ? dst + 1 : dst;
+}
+
+}  // namespace
+
+template <typename T>
+std::uint32_t ViaNetwork::Pool<T>::acquire() {
+  if (free_head_ == kNoRecord) {
+    // Grow by one chunk; records already handed out stay where they are.
+    L2S_REQUIRE(chunks_.size() < (std::size_t{kNoRecord} >> kChunkBits));
+    const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkSize);
+    chunks_.push_back(std::make_unique<T[]>(kChunkSize));
+    T* chunk = chunks_.back().get();
+    for (std::uint32_t i = 0; i + 1 < kChunkSize; ++i) chunk[i].next_free = base + i + 1;
+    chunk[kChunkSize - 1].next_free = kNoRecord;
+    free_head_ = base;
+  }
+  const std::uint32_t id = free_head_;
+  free_head_ = (*this)[id].next_free;
+  return id;
+}
+
 ViaNetwork::ViaNetwork(des::Scheduler& sched, Topology& topology,
                        const NetParams& params)
     : sched_(sched), topo_(topology), params_(params) {}
@@ -23,32 +51,15 @@ void ViaNetwork::check_pair(int src, int dst) const {
 
 std::uint32_t ViaNetwork::acquire(int src, int dst, Bytes bytes, Kind kind,
                                   des::EventFn done) {
-  if (free_head_ == kNoFree) {
-    // Grow by one chunk; records already handed out stay where they are.
-    L2S_REQUIRE(chunks_.size() < (std::size_t{kNoFree} >> kChunkBits));
-    const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkSize);
-    chunks_.push_back(std::make_unique<Message[]>(kChunkSize));
-    Message* chunk = chunks_.back().get();
-    for (std::uint32_t i = 0; i + 1 < kChunkSize; ++i) chunk[i].next_free = base + i + 1;
-    chunk[kChunkSize - 1].next_free = kNoFree;
-    free_head_ = base;
-  }
-  const std::uint32_t id = free_head_;
+  const std::uint32_t id = message_pool_.acquire();
   Message& m = message(id);
-  free_head_ = m.next_free;
   m.done = std::move(done);
   m.bytes = bytes;
   m.src = src;
   m.dst = dst;
+  m.broadcast = kNoRecord;
   m.kind = kind;
   return id;
-}
-
-void ViaNetwork::release(std::uint32_t id) {
-  Message& m = message(id);
-  m.done = nullptr;
-  m.next_free = free_head_;
-  free_head_ = id;
 }
 
 void ViaNetwork::transmit(int src, int dst, Bytes bytes, des::EventFn on_delivered) {
@@ -75,22 +86,45 @@ void ViaNetwork::broadcast(int src, Bytes bytes,
                            std::function<void(int dst)> on_delivered) {
   L2S_REQUIRE(src >= 0 && src < endpoints());
   if (endpoints() < 2) return;
-  const auto payload =
-      std::make_shared<const std::function<void(int dst)>>(std::move(on_delivered));
-  for (int dst = 0; dst < endpoints(); ++dst) {
-    if (dst == src) continue;
-    send(src, dst, bytes, [payload, dst]() { (*payload)(dst); });
+  const std::uint32_t b = broadcast_pool_.acquire();
+  Broadcast& r = broadcast_pool_[b];
+  r.on_delivered = std::move(on_delivered);
+  r.xfer = params_.nic_transfer_time(bytes);
+  r.bytes = bytes;
+  r.src = src;
+  r.live = static_cast<std::uint32_t>(endpoints() - 1);
+  // One CPU run: job i's step sends to the i-th destination.
+  endpoints_[static_cast<std::size_t>(src)].cpu->submit_run(
+      params_.cpu_msg_time(), r.live, walk<&ViaNetwork::leave_cpu>(b, next_peer(-1, src)));
+}
+
+template <void (ViaNetwork::*hop)(std::uint32_t, int)>
+des::EventFn ViaNetwork::walk(std::uint32_t b, int first) {
+  return [this, b, src = broadcast_pool_[b].src, dst = first]() mutable {
+    const int to = dst;
+    dst = next_peer(dst, src);
+    (this->*hop)(b, to);
+  };
+}
+
+LinkFault ViaNetwork::draw(int src, int dst) {
+  ++messages_;
+  LinkFault fault;
+  if (fault_model_ != nullptr) fault = fault_model_->on_message(src, dst);
+  if (fault.drop) {
+    ++dropped_;
+  } else {
+    if (fault.duplicate) ++duplicated_;
+    if (fault.extra_delay > 0) ++delayed_;
   }
+  return fault;
 }
 
 void ViaNetwork::launch(std::uint32_t id) {
   Message& m = message(id);
-  ++messages_;
   m.xfer = params_.nic_transfer_time(m.bytes);
-  LinkFault fault;
-  if (fault_model_ != nullptr) fault = fault_model_->on_message(m.src, m.dst);
+  const LinkFault fault = draw(m.src, m.dst);
   if (fault.drop) {
-    ++dropped_;
     // On the wire the sender still pushes the bytes out; they die in the
     // network. Flow mode abstracts the NIC queues away, so a dropped bulk
     // transfer burns nothing (the oracle was still consulted, so replay
@@ -100,8 +134,11 @@ void ViaNetwork::launch(std::uint32_t id) {
     release(id);
     return;
   }
-  if (fault.duplicate) ++duplicated_;
-  if (fault.extra_delay > 0) ++delayed_;
+  depart(id, fault);
+}
+
+void ViaNetwork::depart(std::uint32_t id, const LinkFault& fault) {
+  Message& m = message(id);
   m.duplicate = fault.duplicate;
   m.extra_delay = fault.extra_delay;
   if (m.kind == Kind::kFlow) {
@@ -110,6 +147,40 @@ void ViaNetwork::launch(std::uint32_t id) {
   }
   endpoints_[static_cast<std::size_t>(m.src)].nic->tx().submit(
       m.xfer, [this, id]() { traverse(id); });
+}
+
+void ViaNetwork::leave_cpu(std::uint32_t b, int dst) {
+  const Broadcast& r = broadcast_pool_[b];
+  const LinkFault fault = draw(r.src, dst);
+  des::Resource& tx = endpoints_[static_cast<std::size_t>(r.src)].nic->tx();
+  if (fault.drop) {
+    tx.submit(r.xfer, []() {});
+    settle(b);
+    return;
+  }
+  if (fault.duplicate || fault.extra_delay > 0) {
+    // It travels alone, its record taken now; the NIC run breaks here.
+    depart(acquire_message(b, dst), fault);
+    return;
+  }
+  // A healthy message joins its broadcast's run at the tail of the NIC
+  // queue, or starts one there. The tag is free again only once the
+  // broadcast's last message is settled, long after its runs are gone.
+  const std::uint32_t tag = b + 1;
+  if (!tx.extend(tag)) tx.submit_run(r.xfer, 1, walk<&ViaNetwork::leave_nic>(b, dst), tag);
+}
+
+void ViaNetwork::leave_nic(std::uint32_t b, int dst) { traverse(acquire_message(b, dst)); }
+
+std::uint32_t ViaNetwork::acquire_message(std::uint32_t b, int dst) {
+  const Broadcast& r = broadcast_pool_[b];
+  const std::uint32_t id = acquire(r.src, dst, r.bytes, Kind::kSend, nullptr);
+  Message& m = message(id);
+  m.broadcast = b;
+  m.xfer = r.xfer;
+  m.duplicate = false;
+  m.extra_delay = 0;
+  return id;
 }
 
 void ViaNetwork::traverse(std::uint32_t id) {
@@ -142,9 +213,16 @@ void ViaNetwork::arrive(std::uint32_t id) {
 
 void ViaNetwork::received(std::uint32_t id) {
   Message& m = message(id);
-  des::EventFn done = std::move(m.done);
   des::Resource* cpu =
       m.kind == Kind::kSend ? endpoints_[static_cast<std::size_t>(m.dst)].cpu : nullptr;
+  if (m.broadcast != kNoRecord) {
+    const std::uint32_t b = m.broadcast;
+    const int dst = m.dst;
+    release(id);
+    cpu->submit(params_.cpu_msg_time(), [this, b, dst]() { deliver(b, dst); });
+    return;
+  }
+  des::EventFn done = std::move(m.done);
   release(id);
   // The receiver CPU, when owed, takes over the continuation.
   if (cpu != nullptr) {
@@ -152,6 +230,19 @@ void ViaNetwork::received(std::uint32_t id) {
     return;
   }
   done();
+}
+
+void ViaNetwork::deliver(std::uint32_t b, int dst) {
+  // The handler may broadcast, taking records; this one stays put.
+  broadcast_pool_[b].on_delivered(dst);
+  settle(b);
+}
+
+void ViaNetwork::settle(std::uint32_t b) {
+  Broadcast& r = broadcast_pool_[b];
+  if (--r.live > 0) return;
+  r.on_delivered = nullptr;
+  broadcast_pool_.release(b);
 }
 
 }  // namespace l2s::net

@@ -283,6 +283,62 @@ TEST(GoldenResults, LargeClustersMatchRecordedDigests) {
   }
 }
 
+// L2S broadcasts (load updates, set changes, heartbeats) through lossy,
+// duplicating and delaying links, plus a crash and a recovery, on 32 nodes
+// of a 1% Calgary stream with the set-decay window K = 0.2 s. Each fault
+// draw is taken as a message leaves the sender's CPU, so these digests pin
+// the order of the draws and what each drawn fault does to the message.
+// Recorded before broadcasts became one queue entry per sender resource.
+TEST(GoldenResults, BroadcastsUnderMessageFaultsMatchRecordedDigests) {
+  constexpr double kScale = 0.01;
+  auto spec = trace::paper_trace_spec("calgary");
+  spec.requests = static_cast<std::uint64_t>(static_cast<double>(spec.requests) * kScale);
+  const auto tr = trace::generate(spec);
+  const bool print = std::getenv("L2SIM_GOLDEN_PRINT") != nullptr;
+
+  struct FaultCell {
+    std::string name;
+    net::TopologyKind topology;
+    bool heartbeats;
+    std::string digest;
+  };
+  const std::vector<FaultCell> cells = {
+      {"single|fixed-delay", net::TopologyKind::kSingleSwitch, false, "03f2c304fbb83142"},
+      {"single|heartbeats", net::TopologyKind::kSingleSwitch, true, "8b580327b587ed20"},
+      {"rack4|fixed-delay", net::TopologyKind::kRackAware, false, "699c538445a13a32"},
+      {"rack4|heartbeats", net::TopologyKind::kRackAware, true, "5eee073b8936ada1"},
+  };
+  for (const auto& c : cells) {
+    SimConfig cfg;
+    cfg.nodes = 32;
+    cfg.topology.kind = c.topology;
+    cfg.topology.racks = 4;
+    fault::MessageFault lossy;
+    lossy.loss_prob = 0.02;
+    lossy.extra_delay_seconds = 0.5e-3;
+    lossy.duplicate_prob = 0.05;
+    cfg.fault_plan.message_faults.push_back(lossy);
+    cfg.fault_plan.crashes.push_back({7, 0.2});
+    cfg.fault_plan.recoveries.push_back({7, 0.4});
+    cfg.retry.max_retries = 2;
+    cfg.retry.attempt_timeout_seconds = 0.1;
+    cfg.retry.deadline_seconds = 0.5;
+    cfg.detection.heartbeats = c.heartbeats;
+    cfg.detection.period_seconds = 0.02;
+    ClusterSimulation sim(cfg, tr, make_policy(PolicyKind::kL2s, 0.2));
+    const auto r = sim.run();
+    if (print) {
+      std::printf("GOLDEN    {\"%s\", \"%s\"},\n", c.name.c_str(), digest_hex(r).c_str());
+      continue;
+    }
+    EXPECT_EQ(digest_hex(r), c.digest) << c.name;
+    // Every kind of message fault must have struck.
+    EXPECT_GT(r.via_dropped, 0u) << c.name;
+    EXPECT_GT(r.via_duplicated, 0u) << c.name;
+    EXPECT_GT(r.via_delayed, 0u) << c.name;
+  }
+}
+
 TEST(GoldenResults, RunParallelIsBitIdenticalToSerial) {
   const auto tr = golden_trace();
   const auto cells = matrix();

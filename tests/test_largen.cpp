@@ -1,7 +1,8 @@
 // Large-N sanity net (ctest -L largen): a 256-node cluster at heavy
 // traffic, driven through the DES kernel, checked against the
 // M/M/infinity ranked-servers asymptotics (Eschenfeldt, Gross & Pippenger;
-// see PAPERS.md).
+// see PAPERS.md), and a 256-node L2S cluster pinned through its
+// cold-start broadcast storm.
 //
 // The model: Poisson arrivals at rate lambda, each request dispatched to
 // the LOWEST-indexed idle server (ordered hunting) and holding it for the
@@ -22,7 +23,11 @@
 
 #include "l2sim/common/rng.hpp"
 #include "l2sim/common/units.hpp"
+#include "l2sim/core/experiment.hpp"
+#include "l2sim/core/metrics.hpp"
+#include "l2sim/core/simulation.hpp"
 #include "l2sim/des/scheduler.hpp"
+#include "l2sim/trace/synthetic.hpp"
 
 namespace l2s::des {
 namespace {
@@ -157,6 +162,25 @@ TEST(LargeN, RankedServersMatchHeavyTrafficAsymptotics) {
 
   // The idle-server distribution: mean idle count == N - a.
   EXPECT_NEAR(kNodes - r.mean_busy, kNodes - a, 0.05 * a);
+}
+
+// L2S on 256 nodes over a 0.5% Calgary stream with 32 MiB caches and the
+// CLI's set-decay window for that scale (K = 20 s x 0.005). Every node
+// broadcasts its load and set changes to the 255 others, so the first
+// milliseconds queue hundreds of thousands of VIA message jobs on the
+// CPUs and NICs. The digest pins that storm event for event.
+TEST(LargeN, L2sBroadcastStormMatchesRecordedDigest) {
+  constexpr double kScale = 0.005;
+  auto spec = trace::paper_trace_spec("calgary");
+  spec.requests = static_cast<std::uint64_t>(static_cast<double>(spec.requests) * kScale);
+  const auto tr = trace::generate(spec);
+  core::SimConfig cfg;
+  cfg.nodes = 256;
+  cfg.node.cache_bytes = 32 * kMiB;
+  core::ClusterSimulation sim(cfg, tr, core::make_policy(core::PolicyKind::kL2s, 20.0 * kScale));
+  const auto r = sim.run();
+  EXPECT_EQ(core::result_digest_hex(r), "2da1b1aaa2a4d212");
+  EXPECT_GT(r.via_messages, 0u);
 }
 
 }  // namespace

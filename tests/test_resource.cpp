@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "l2sim/common/error.hpp"
@@ -143,6 +145,156 @@ TEST(Resource, QueueLengthReflectsWaiters) {
   EXPECT_EQ(r.queue_length(), 2u);
   s.run();
   EXPECT_EQ(r.queue_length(), 0u);
+}
+
+// --- runs -------------------------------------------------------------------
+
+// What one scenario fires, in order: (time, label).
+using Trace = std::vector<std::pair<SimTime, char>>;
+
+// A run of k jobs is k single submits: every step fires at the same time,
+// in the same order relative to other events, as the matching continuation.
+TEST(ResourceRun, CompletesAtTheTimesOfSingleSubmits) {
+  const auto scenario = [](bool as_run) {
+    Scheduler s;
+    Resource r(s, "cpu");
+    Trace fired;
+    const auto note = [&](char c) { fired.emplace_back(s.now(), c); };
+    r.submit(7, [&] { note('a'); });  // in service when the k jobs arrive
+    if (as_run) {
+      r.submit_run(10, 4, [&] {
+        note('k');
+        // Ties with the next job's completion, scheduled just before it.
+        s.after(10, [&] { note('x'); });
+      });
+    } else {
+      for (int i = 0; i < 4; ++i) {
+        r.submit(10, [&] {
+          note('k');
+          s.after(10, [&] { note('x'); });
+        });
+      }
+    }
+    r.submit(3, [&] { note('z'); });  // queued behind all four
+    s.at(27, [&] { note('p'); });     // ties with the second job's completion
+    s.run();
+    return std::pair{fired, std::pair{r.jobs_completed(), r.busy_time()}};
+  };
+  const auto run = scenario(true);
+  const auto singles = scenario(false);
+  EXPECT_EQ(run.first, singles.first);
+  EXPECT_EQ(run.second, singles.second);
+  EXPECT_EQ(run.second.first, 6u);
+  EXPECT_EQ(run.second.second, 7 + 4 * 10 + 3);
+  // At 27 the second job completes and fires its step before the first
+  // step's 'x'; the probe, scheduled first of all, fires before both.
+  const Trace at27(std::find(run.first.begin(), run.first.end(), std::pair<SimTime, char>{27, 'p'}),
+                   run.first.end());
+  ASSERT_GE(at27.size(), 3u);
+  EXPECT_EQ(Trace(at27.begin(), at27.begin() + 3), (Trace{{27, 'p'}, {27, 'k'}, {27, 'x'}}));
+}
+
+TEST(ResourceRun, CountsJobsNotEntries) {
+  Scheduler s;
+  Resource r(s, "nic");
+  r.submit(5, [] {});
+  r.submit_run(10, 3, [] {});
+  r.submit(5, [] {});
+  // One single in service; three run jobs and one single wait.
+  EXPECT_EQ(r.queue_length(), 4u);
+  s.run_until(5);
+  // The run's first job is in service: two of its jobs and the single wait.
+  EXPECT_EQ(r.queue_length(), 3u);
+  EXPECT_EQ(r.jobs_completed(), 1u);
+  s.run_until(25);
+  EXPECT_EQ(r.queue_length(), 1u);
+  EXPECT_EQ(r.jobs_completed(), 3u);
+  EXPECT_EQ(r.busy_time(), 25);
+  s.run();
+  EXPECT_EQ(r.queue_length(), 0u);
+  EXPECT_EQ(r.jobs_completed(), 5u);
+  EXPECT_EQ(r.busy_time(), 40);
+  EXPECT_FALSE(r.busy());
+  // An idle resource starts a run at once: all but its first job wait.
+  r.submit_run(1, 4, [] {});
+  EXPECT_TRUE(r.busy());
+  EXPECT_EQ(r.queue_length(), 3u);
+  EXPECT_THROW(r.submit_run(1, 0, [] {}), l2s::Error);
+  EXPECT_THROW(r.submit_run(-1, 2, [] {}), l2s::Error);
+}
+
+TEST(ResourceRun, StepThatSubmitsHereQueuesBehindTheRest) {
+  Scheduler s;
+  Resource r(s, "cpu");
+  std::vector<std::pair<SimTime, int>> fired;
+  int step = 0;
+  r.submit_run(10, 3, [&] {
+    const int i = ++step;
+    fired.emplace_back(s.now(), i);
+    if (i == 1) r.submit(1, [&] { fired.emplace_back(s.now(), 100); });
+  });
+  EXPECT_EQ(r.queue_length(), 2u);
+  s.run();
+  // Job 1's submit waits for jobs 2 and 3.
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, int>>{{10, 1}, {20, 2}, {30, 3}, {31, 100}}));
+  EXPECT_EQ(r.jobs_completed(), 4u);
+}
+
+TEST(ResourceRun, OnlyTheTailRunWithTheSameTagGrows) {
+  Scheduler s;
+  Resource r(s, "nic");
+  int a = 0;
+  int b = 0;
+  // In service and the tail: it grows.
+  r.submit_run(10, 1, [&] { ++a; }, 1);
+  EXPECT_FALSE(r.extend(2));
+  EXPECT_TRUE(r.extend(1));
+  EXPECT_EQ(r.queue_length(), 1u);
+  // Queued and the tail: it grows; the one in service no longer can.
+  r.submit_run(10, 1, [&] { ++b; }, 2);
+  EXPECT_FALSE(r.extend(1));
+  EXPECT_TRUE(r.extend(2));
+  EXPECT_EQ(r.queue_length(), 3u);
+  // A plain submit becomes the tail: nothing grows until a new run.
+  r.submit(10, [] {});
+  EXPECT_FALSE(r.extend(2));
+  EXPECT_FALSE(r.extend(1));
+  r.submit_run(10, 1, [&] { ++b; }, 2);
+  EXPECT_TRUE(r.extend(2));
+  // An untagged run never grows, and kNoTag is no tag.
+  r.submit_run(10, 2, [] {});
+  EXPECT_THROW(static_cast<void>(r.extend(Resource::kNoTag)), l2s::Error);
+  EXPECT_EQ(r.queue_length(), 8u);
+  s.run();
+  EXPECT_EQ(a, 2);
+  EXPECT_EQ(b, 4);
+  EXPECT_EQ(r.jobs_completed(), 9u);
+  EXPECT_EQ(s.now(), 90);
+  // Once its last job has completed a run is gone: the tag finds nothing.
+  EXPECT_FALSE(r.extend(1));
+  EXPECT_FALSE(r.busy());
+}
+
+TEST(ResourceRun, InServiceRunGrowsFromItsOwnStep) {
+  // The first step tries to grow its run by one job. In a run of two it
+  // fires while job 2 is in service, and the run grows; in a run of one
+  // it fires after the resource went idle, and no run is left to grow.
+  for (const std::uint32_t jobs : {2u, 1u}) {
+    Scheduler s;
+    Resource r(s, "nic");
+    std::vector<SimTime> fired;
+    bool grew = false;
+    r.submit_run(
+        10, jobs,
+        [&] {
+          fired.push_back(s.now());
+          if (fired.size() == 1) grew = r.extend(5);
+        },
+        5);
+    s.run();
+    EXPECT_EQ(grew, jobs == 2);
+    EXPECT_EQ(fired, jobs == 2 ? (std::vector<SimTime>{10, 20, 30}) : (std::vector<SimTime>{10}));
+  }
 }
 
 }  // namespace

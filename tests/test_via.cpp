@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "l2sim/common/error.hpp"
+#include "l2sim/common/rng.hpp"
 #include "l2sim/des/resource.hpp"
 #include "l2sim/net/via.hpp"
 
@@ -12,12 +16,13 @@ namespace {
 struct ViaFixture {
   des::Scheduler sched;
   NetParams params;
-  SingleSwitch fabric{sched, params, 64};
-  ViaNetwork via{sched, fabric, params};
+  std::unique_ptr<Topology> fabric;
+  ViaNetwork via;
   std::vector<std::unique_ptr<des::Resource>> cpus;
   std::vector<std::unique_ptr<Nic>> nics;
 
-  explicit ViaFixture(int nodes) {
+  explicit ViaFixture(int nodes, const TopologyConfig& config = {})
+      : fabric(Topology::make(config, sched, params, nodes)), via(sched, *fabric, params) {
     for (int i = 0; i < nodes; ++i) {
       cpus.push_back(std::make_unique<des::Resource>(sched, "cpu" + std::to_string(i)));
       nics.push_back(std::make_unique<Nic>(sched, "node" + std::to_string(i)));
@@ -127,6 +132,129 @@ TEST(Via, StatsCountAndReset) {
   EXPECT_EQ(f.via.messages_sent(), 2u);
   f.via.reset_stats();
   EXPECT_EQ(f.via.messages_sent(), 0u);
+}
+
+// --- broadcasts ---------------------------------------------------------------
+
+/// A seeded oracle: each message is dropped, duplicated or delayed at random.
+struct RandomLinkFaults final : LinkFaultModel {
+  Rng rng{0xB40ADCA5};
+  LinkFault on_message(int /*src*/, int /*dst*/) override {
+    LinkFault f;
+    f.drop = rng.next_double() < 0.05;
+    f.duplicate = rng.next_double() < 0.1;
+    if (rng.next_double() < 0.1) f.extra_delay = 4'000;
+    return f;
+  }
+};
+
+/// Everything a run of the network shows: each delivery as (time, src,
+/// dst), every CPU and NIC's completed jobs and busy time, and the five
+/// message counters.
+struct Outcome {
+  std::vector<std::tuple<SimTime, int, int>> deliveries;
+  std::vector<std::uint64_t> jobs;
+  std::vector<SimTime> busy;
+  std::array<std::uint64_t, 5> counters{};
+};
+
+/// Every endpoint of a 64-endpoint network broadcasts at t = 0; the first
+/// delivery from 0 to 1 makes 1 broadcast again from inside the handler,
+/// and unicast traffic from 0 and 5 cuts into their NIC queues at 20 us.
+/// With `by_sends` the test issues each broadcast as N-1 send() calls in
+/// destination order instead of one broadcast() call.
+Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
+  constexpr int kNodes = 64;
+  RandomLinkFaults oracle;  // outlives the network, as set_fault_model asks
+  ViaFixture f(kNodes, config);
+  if (faults) f.via.set_fault_model(&oracle);
+  Outcome out;
+  bool echoed = false;
+  std::function<void(int)> cast = [&](int src) {
+    const auto on_delivered = [&, src](int dst) {
+      out.deliveries.emplace_back(f.sched.now(), src, dst);
+      if (src == 0 && dst == 1 && !echoed) {
+        echoed = true;
+        cast(1);
+      }
+    };
+    if (!by_sends) {
+      f.via.broadcast(src, 16, on_delivered);
+      return;
+    }
+    for (int dst = 0; dst < kNodes; ++dst) {
+      if (dst != src) f.via.send(src, dst, 16, [on_delivered, dst] { on_delivered(dst); });
+    }
+  };
+  for (int src = 0; src < kNodes; ++src) cast(src);
+  f.sched.at(20'000, [&] {
+    f.via.send(0, 2, 16, [&] { out.deliveries.emplace_back(f.sched.now(), -1, 2); });
+    f.via.transmit(5, 3, 4096, [&] { out.deliveries.emplace_back(f.sched.now(), -1, 3); });
+  });
+  f.sched.run();
+  for (int i = 0; i < kNodes; ++i) {
+    for (const des::Resource* r : {f.cpus[static_cast<std::size_t>(i)].get(),
+                                   &f.nics[static_cast<std::size_t>(i)]->tx(),
+                                   &f.nics[static_cast<std::size_t>(i)]->rx()}) {
+      out.jobs.push_back(r->jobs_completed());
+      out.busy.push_back(r->busy_time());
+    }
+  }
+  out.counters = {f.via.messages_sent(), f.via.messages_dropped(),
+                  f.via.messages_duplicated(), f.via.messages_delayed(),
+                  f.via.messages_delivered()};
+  EXPECT_TRUE(echoed);
+  return out;
+}
+
+TEST(ViaBroadcast, EqualsItsPointToPointSends) {
+  TopologyConfig single;
+  TopologyConfig rack;
+  rack.kind = TopologyKind::kRackAware;
+  rack.racks = 4;
+  TopologyConfig fat_tree;
+  fat_tree.kind = TopologyKind::kFatTree;
+  fat_tree.fat_tree_k = 8;
+  for (const TopologyConfig& config : {single, rack, fat_tree}) {
+    for (const bool faults : {false, true}) {
+      SCOPED_TRACE(std::string(config.kind_name()) + (faults ? " faults" : " healthy"));
+      const Outcome cast = storm(config, faults, false);
+      const Outcome sends = storm(config, faults, true);
+      // 64 x 63 broadcast messages, 63 echoed, two unicasts.
+      EXPECT_EQ(cast.counters[0], 64u * 63u + 63u + 2u);
+      if (faults) {
+        EXPECT_GT(cast.counters[1], 0u);
+        EXPECT_GT(cast.counters[2], 0u);
+        EXPECT_GT(cast.counters[3], 0u);
+      } else {
+        EXPECT_EQ(cast.counters[4], cast.counters[0]);
+      }
+      EXPECT_EQ(cast.deliveries.size(), sends.deliveries.size());
+      EXPECT_TRUE(cast.deliveries == sends.deliveries);
+      EXPECT_EQ(cast.jobs, sends.jobs);
+      EXPECT_EQ(cast.busy, sends.busy);
+      EXPECT_EQ(cast.counters, sends.counters);
+    }
+  }
+}
+
+// A broadcast costs one CPU queue entry up front: no message record is
+// taken until a message leaves the sender's NIC.
+TEST(ViaBroadcast, TakesNoMessageRecordUpFront) {
+  constexpr int kNodes = 2049;
+  ViaFixture f(kNodes);
+  int delivered = 0;
+  f.via.broadcast(0, 16, [&](int) { ++delivered; });
+  EXPECT_EQ(f.via.message_pool_capacity(), 0u);
+  EXPECT_TRUE(f.cpus[0]->busy());
+  EXPECT_EQ(f.cpus[0]->queue_length(), 2047u);
+  f.sched.run();
+  EXPECT_EQ(delivered, kNodes - 1);
+  EXPECT_EQ(f.cpus[0]->jobs_completed(), 2048u);
+  EXPECT_EQ(f.nics[0]->tx().jobs_completed(), 2048u);
+  // The NIC (6 us a message) trails the CPU (3 us): about half of the
+  // messages were ever queued in it, none of them holding a record.
+  EXPECT_LE(f.via.message_pool_capacity(), 1024u);
 }
 
 }  // namespace

@@ -24,11 +24,12 @@
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#   9. AddressSanitizer build (build-asan/): all eight test binaries and the
-#      l2sim CLI (the cli.* smoke tests run it), and ctest runs every
-#      registered test once. Continuations live in scheduler slots, resource
-#      slots and pooled VIA message records, and replicas share server-set
-#      lists, so a lifetime bug could surface in any suite
+#   9. AddressSanitizer build (build-asan/): all eight test binaries, the
+#      l2sim CLI and policy_comparison (the cli.* smoke tests run them),
+#      and ctest runs every registered test once. Continuations live in
+#      scheduler slots, resource slots and pooled VIA message and broadcast
+#      records, and replicas share server-set lists, so a lifetime bug
+#      could surface in any suite
 #  10. ThreadSanitizer build (build-tsan/): the same full suite, once
 #      (run_parallel, the thread budget and the per-job telemetry merge are
 #      the threaded code)
@@ -85,9 +86,9 @@ fi
 # Each sanitizer block runs the whole suite once, unfiltered. (ctest 3.25
 # reads the argument after a bare `-j` as the job count, which used to drop
 # every -R/-L filter here and ran the suite twice per sanitizer.) The list
-# holds every target a registered test runs, l2sim_cli included, or ctest
-# reports the missing ones as *_NOT_BUILT.
-tests="l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests l2sim_cli"
+# holds every target a registered test runs, l2sim_cli and policy_comparison
+# included, or ctest reports the missing ones as *_NOT_BUILT.
+tests="l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests l2sim_cli policy_comparison"
 
 if [[ "$skip_asan" -eq 0 ]]; then
   echo "== AddressSanitizer: every test =="

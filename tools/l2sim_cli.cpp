@@ -413,6 +413,9 @@ int cmd_diff(const Args& args) {
 int cmd_figure(const Args& args) {
   if (!args.has("paper")) throw Error("figure: --paper NAME required");
   const double scale = args.get_double("scale", 0.1);
+  const int threads = args.get_int("threads", 0);  // 0 = the thread budget
+  if (threads < 0)
+    throw Error("--threads must be >= 0 (0 = the thread budget), got " + std::to_string(threads));
   core::ExperimentSpec spec;
   spec.name = args.get("paper");
   spec.trace = core::TraceSpec::paper(spec.name, scale);
@@ -422,8 +425,8 @@ int cmd_figure(const Args& args) {
   spec.set_shrink_seconds = 20.0 * scale;
 
   const auto tr = spec.trace.realize();
-  const auto threads = static_cast<unsigned>(args.get_int("threads", 0));
-  const auto fig = core::run_figure(spec, tr, core::kFigureNodeCounts, threads);
+  const auto fig =
+      core::run_figure(spec, tr, core::kFigureNodeCounts, static_cast<unsigned>(threads));
   const std::string csv_dir = args.get("csv", "");
 
   core::print_throughput_figure(std::cout, fig);
