@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
                    chosen ? "1" : "0"});
     }
   }
+  csv.close();
   t.print(std::cout);
 
   // 3. The gate: the planned quartile must bracket the measured knee to

@@ -40,7 +40,7 @@ class Node {
   /// `cpu_speed` scales the node's CPU service rates (1.0 = the paper's
   /// baseline workstation; 0.5 = half as fast). The paper assumes "all
   /// cluster nodes are equally powerful"; heterogeneous factors are an
-  /// extension exercised by bench/heterogeneity_study.
+  /// extension exercised by `l2sim study heterogeneity`.
   Node(des::Scheduler& sched, int id, const NodeParams& params, double cpu_speed = 1.0);
 
   Node(const Node&) = delete;

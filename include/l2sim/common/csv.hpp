@@ -22,8 +22,15 @@ class CsvWriter {
   void add_row(const std::vector<std::string>& cells);
   [[nodiscard]] bool active() const { return out_.has_value(); }
 
+  /// Flush and close the file. Throws l2s::Error ("cannot write output
+  /// file: PATH") when any write failed (a full disk, /dev/full). The
+  /// destructor closes without checking, so every writer calls this once
+  /// its rows are in.
+  void close();
+
  private:
   std::optional<std::ofstream> out_;
+  std::string path_;
   std::size_t columns_ = 0;
 };
 

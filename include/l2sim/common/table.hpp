@@ -41,4 +41,7 @@ class TextTable {
 /// Format a double with fixed precision (helper shared with CSV output).
 [[nodiscard]] std::string format_double(double value, int precision);
 
+/// The shortest text that parses back to exactly `value` ("0.005", "2.5").
+[[nodiscard]] std::string format_exact(double value);
+
 }  // namespace l2s

@@ -9,18 +9,36 @@
 #include <vector>
 
 #include "l2sim/core/simulation.hpp"
+#include "l2sim/policy/l2s.hpp"
 #include "l2sim/trace/characterize.hpp"
 
 namespace l2s::core {
 
-enum class PolicyKind { kTraditional, kLard, kL2s };
+/// The paper's three servers, then the baselines the studies set beside
+/// them: Section 2's round-robin DNS server, LARD with a dispatcher
+/// (Related Work [4]) and consistent hashing.
+enum class PolicyKind {
+  kTraditional,
+  kLard,
+  kL2s,
+  kRoundRobin,
+  kLardDispatcher,
+  kConsistentHash,
+};
 
 /// `set_shrink_seconds` is LARD's K and L2S's server-set decay window
-/// (paper value: 20 s). Benches that replay truncated traces scale it down
+/// (paper value: 20 s). Studies that replay truncated traces scale it down
 /// proportionally so replication decays as it would over a full-length run.
+/// `l2s` sets L2S's other parameters; its own set_shrink_seconds is
+/// replaced by `set_shrink_seconds`.
 [[nodiscard]] std::unique_ptr<policy::Policy> make_policy(PolicyKind kind,
-                                                          double set_shrink_seconds = 20.0);
+                                                          double set_shrink_seconds = 20.0,
+                                                          policy::L2sParams l2s = {});
+/// The name reports print: "trad", "LARD", "L2S", "rr-dns", ...
 [[nodiscard]] const char* policy_kind_name(PolicyKind kind);
+/// The kind a `--policy` value names: l2s, lard, trad (or traditional), rr
+/// (or rr-dns). Throws l2s::Error on any other name.
+[[nodiscard]] PolicyKind policy_kind_by_name(const std::string& name);
 
 /// All simulated policies, in the order the paper's legends list them.
 [[nodiscard]] const std::vector<PolicyKind>& all_policies();

@@ -16,11 +16,13 @@ struct Snapshot;
 
 namespace l2s::core {
 
+/// One simulation: the policy is make_policy(kind, set_shrink_seconds, l2s).
 struct SimJob {
   const trace::Trace* trace = nullptr;
   SimConfig sim;
   PolicyKind kind = PolicyKind::kTraditional;
   double set_shrink_seconds = 20.0;
+  policy::L2sParams l2s{};  ///< kL2s's parameters besides the decay window
 };
 
 /// Workers run_parallel starts for `jobs` single-threaded jobs under a

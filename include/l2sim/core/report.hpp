@@ -21,7 +21,8 @@ void write_throughput_csv(const FigureSeries& fig, const std::string& dir,
 void print_metric_figure(std::ostream& os, const FigureSeries& fig,
                          const std::string& metric);
 
-/// Extract one metric value from a result (shared by table and CSV paths).
+/// Extract one metric value from a result (shared by table and CSV paths):
+/// the four above or "throughput". Throws l2s::Error on any other name.
 [[nodiscard]] double metric_value(const SimResult& r, const std::string& metric);
 
 }  // namespace l2s::core

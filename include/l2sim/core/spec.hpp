@@ -122,11 +122,13 @@ struct ModelResult {
 
 /// Write every export the OutputSpec asks for from an already-obtained
 /// result (telemetry CSV/trace files, decision-log CSV). run_simulation
-/// calls this itself; callers that drive ClusterSimulation directly (the
-/// CLI's round-robin path) reuse it so every path exports identically.
+/// calls this itself; callers that drive ClusterSimulation directly reuse
+/// it so every path exports identically.
 void export_outputs(const OutputSpec& output, const SimResult& result);
 
-/// Run the spec on the analytic model (policy-independent bound).
+/// Run the spec on the analytic model (policy-independent bound). The model
+/// describes trad (locality-oblivious) and LARD and L2S (locality-
+/// conscious); any other spec.policy throws l2s::Error.
 [[nodiscard]] ModelResult run_model(const ExperimentSpec& spec);
 [[nodiscard]] ModelResult run_model(const ExperimentSpec& spec,
                                     const trace::Trace& trace);
@@ -151,12 +153,15 @@ void export_outputs(const OutputSpec& output, const SimResult& result);
 ///   the overload flags (apply_overload_cli) and topology flags
 ///   (apply_topology_cli)
 ///   --fail NODE@SECONDS  crash NODE at SECONDS
-///   --shrink SEC         LARD K / L2S decay window (20 s x --scale, whose
-///                        default is 0.1)
+///   --shrink SEC         LARD K / L2S decay window (20 s x scale_from_cli)
 ///
 /// Leaves name, trace, policy and output at their defaults. Throws
 /// l2s::Error on a malformed value or unknown name.
 [[nodiscard]] ExperimentSpec run_spec_from_cli(const CliArgs& args);
+
+/// `--scale S` (default 0.1), the factor a paper trace's request count is
+/// scaled by. Throws l2s::Error naming --scale unless S is finite and > 0.
+[[nodiscard]] double scale_from_cli(const CliArgs& args);
 
 /// Apply the overload/chaos command-line flags to a spec (shared by the
 /// l2sim CLI and any downstream driver):

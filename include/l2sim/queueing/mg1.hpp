@@ -6,9 +6,9 @@
 //
 //   Wq = (1 + cs2) / 2 * rho / (mu - lambda)
 //
-// cs2 = 1 recovers M/M/1, cs2 = 0 is M/D/1 (half the waiting). The
-// latency_validation bench uses this to show the simulator agrees with
-// theory, not just qualitatively.
+// cs2 = 1 recovers M/M/1, cs2 = 0 is M/D/1 (half the waiting).
+// `l2sim study latency-validation` uses this to show the simulator agrees
+// with theory, not just qualitatively.
 #pragma once
 
 namespace l2s::queueing {

@@ -71,4 +71,10 @@ struct SyntheticSpec {
 /// Look up one of the paper traces by (case-insensitive) name.
 [[nodiscard]] SyntheticSpec paper_trace_spec(const std::string& name);
 
+/// Generate `spec` with its request count multiplied by `scale` (the
+/// --scale of the CLI and the studies) and capped at `max_requests`.
+/// Throws l2s::Error naming --scale unless `scale` is finite and > 0.
+[[nodiscard]] Trace generate_scaled(SyntheticSpec spec, double scale,
+                                    std::uint64_t max_requests = UINT64_MAX);
+
 }  // namespace l2s::trace

@@ -13,8 +13,9 @@ CsvWriter::CsvWriter(const std::string& dir, const std::string& name,
                      std::vector<std::string> header)
     : columns_(header.size()) {
   if (dir.empty()) return;
-  out_.emplace(dir + "/" + name + ".csv");
-  if (!*out_) throw_error("cannot open CSV output in " + dir);
+  path_ = dir + "/" + name + ".csv";
+  out_.emplace(path_);
+  if (!*out_) throw_error("cannot open output file: " + path_);
   for (std::size_t c = 0; c < header.size(); ++c) {
     *out_ << header[c];
     *out_ << (c + 1 < header.size() ? ',' : '\n');
@@ -28,6 +29,12 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
     *out_ << cells[c];
     *out_ << (c + 1 < cells.size() ? ',' : '\n');
   }
+}
+
+void CsvWriter::close() {
+  if (!out_) return;
+  if (!out_->flush()) throw_error("cannot write output file: " + path_);
+  out_.reset();
 }
 
 std::string csv_dir_from_args(int argc, char** argv) {

@@ -1,6 +1,8 @@
 #include "l2sim/common/table.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -13,6 +15,13 @@ std::string format_double(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
   return os.str();
+}
+
+std::string format_exact(double value) {
+  std::array<char, 32> buf{};
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+  L2S_REQUIRE(ec == std::errc());
+  return {buf.data(), end};
 }
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {

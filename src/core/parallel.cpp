@@ -55,7 +55,7 @@ std::vector<SimResult> run_parallel(const std::vector<SimJob>& jobs, unsigned th
       try {
         const SimJob& job = jobs[i];
         ClusterSimulation sim(job.sim, *job.trace,
-                              make_policy(job.kind, job.set_shrink_seconds));
+                              make_policy(job.kind, job.set_shrink_seconds, job.l2s));
         results[i] = sim.run();
       } catch (...) {
         const std::scoped_lock lock(error_mutex);

@@ -31,6 +31,7 @@ void write_throughput_csv(const FigureSeries& fig, const std::string& dir,
                  format_double(fig.lard[i].throughput_rps, 1),
                  format_double(fig.traditional[i].throughput_rps, 1)});
   }
+  csv.close();
 }
 
 double metric_value(const SimResult& r, const std::string& metric) {
@@ -39,11 +40,6 @@ double metric_value(const SimResult& r, const std::string& metric) {
   if (metric == "forwarded") return r.forwarded_fraction * 100.0;
   if (metric == "response") return r.mean_response_ms;
   if (metric == "throughput") return r.throughput_rps;
-  if (metric == "loadcov") return r.load_cov;
-  if (metric == "failed") return static_cast<double>(r.failed);
-  if (metric == "retry_amp") return r.retry_amplification;
-  if (metric == "detection_ms") return r.detection_latency_ms;
-  if (metric == "recover_ms") return r.time_to_recover_ms;
   throw_error("unknown metric: " + metric);
 }
 

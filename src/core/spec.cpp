@@ -1,5 +1,7 @@
 #include "l2sim/core/spec.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <utility>
 
@@ -37,12 +39,8 @@ TraceSpec TraceSpec::synth(trace::SyntheticSpec synthetic) {
 
 trace::Trace TraceSpec::realize() const {
   switch (kind) {
-    case Kind::kPaper: {
-      auto s = trace::paper_trace_spec(paper_name);
-      s.requests =
-          static_cast<std::uint64_t>(static_cast<double>(s.requests) * scale);
-      return trace::generate(s);
-    }
+    case Kind::kPaper:
+      return trace::generate_scaled(trace::paper_trace_spec(paper_name), scale);
     case Kind::kClfFile: {
       std::ifstream in(path);
       if (!in) throw_error("TraceSpec: cannot open trace file: " + path);
@@ -96,6 +94,9 @@ ModelResult run_model(const ExperimentSpec& spec) {
 }
 
 ModelResult run_model(const ExperimentSpec& spec, const trace::Trace& trace) {
+  if (std::ranges::find(all_policies(), spec.policy) == all_policies().end())
+    throw_error(std::string("run_model: the analytic model describes l2s, lard and trad, not ") +
+                policy_kind_name(spec.policy));
   // The analytic model solves the paper's Figure 2 queueing network: every
   // node behind one crossbar switch. Rack-aware and fat-tree interconnects
   // change the per-station demands in ways the model does not capture, so
@@ -192,8 +193,15 @@ ExperimentSpec run_spec_from_cli(const CliArgs& args) {
     const auto [node, at] = args.get_int_at_double("fail");
     cfg.fault_plan.crashes.push_back({node, at});
   }
-  spec.set_shrink_seconds = args.get_double("shrink", 20.0 * args.get_double("scale", 0.1));
+  spec.set_shrink_seconds = args.get_double("shrink", 20.0 * scale_from_cli(args));
   return spec;
+}
+
+double scale_from_cli(const CliArgs& args) {
+  const double scale = args.get_double("scale", 0.1);
+  if (!std::isfinite(scale) || scale <= 0.0)
+    throw_error("--scale must be a finite number > 0, got " + args.get("scale"));
+  return scale;
 }
 
 void apply_overload_cli(const CliArgs& args, ExperimentSpec& spec) {

@@ -6,6 +6,7 @@
 
 #include "l2sim/common/error.hpp"
 #include "l2sim/common/rng.hpp"
+#include "l2sim/common/table.hpp"
 #include "l2sim/zipf/sampler.hpp"
 
 namespace l2s::trace {
@@ -184,7 +185,7 @@ std::vector<SyntheticSpec> paper_trace_specs() {
   // Table 2 of the paper. size_sigma values are chosen so the generated
   // working sets land in the paper's reported 288-717 MB span. The specs
   // default to IID Zipf sampling (temporal_locality = 0): real logs also
-  // carry temporal correlation, and bench/temporal_locality_study shows
+  // carry temporal correlation, and `l2sim study temporal-locality` shows
   // how raising the knob moves a sequential 32 MB server's miss rate into
   // the paper's 9-28% band — but because every policy's cache benefits
   // equally, the *relative* Figure 7-10 results are reproduced best with
@@ -226,6 +227,17 @@ SyntheticSpec specweb99_spec(std::uint64_t files, std::uint64_t requests,
       {0.01, 100.0, 1024.0} // class 3: 100 KB-1 MB
   };
   return spec;
+}
+
+Trace generate_scaled(SyntheticSpec spec, double scale, std::uint64_t max_requests) {
+  if (!std::isfinite(scale) || scale <= 0.0)
+    throw_error("--scale must be a finite number > 0, got " + format_exact(scale));
+  const double requests = static_cast<double>(spec.requests) * scale;
+  if (requests < 1.0 || requests >= 0x1p64)  // the cast below needs [1, 2^64)
+    throw_error("--scale " + format_exact(scale) + " gives " + spec.name + " " +
+                format_exact(requests) + " requests; it needs at least 1, below 2^64");
+  spec.requests = std::min(static_cast<std::uint64_t>(requests), max_requests);
+  return generate(spec);
 }
 
 SyntheticSpec paper_trace_spec(const std::string& name) {

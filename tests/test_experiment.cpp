@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -42,6 +43,9 @@ TEST(Experiment, MakePolicyProducesRightTypes) {
   EXPECT_STREQ(make_policy(PolicyKind::kTraditional)->name(), "traditional");
   EXPECT_STREQ(make_policy(PolicyKind::kLard)->name(), "lard");
   EXPECT_STREQ(make_policy(PolicyKind::kL2s)->name(), "l2s");
+  EXPECT_STREQ(make_policy(PolicyKind::kRoundRobin)->name(), "rr-dns");
+  EXPECT_STREQ(make_policy(PolicyKind::kLardDispatcher)->name(), "lard-dispatcher");
+  EXPECT_STREQ(make_policy(PolicyKind::kConsistentHash)->name(), "consistent-hash");
 }
 
 TEST(Experiment, PolicyKindNames) {
@@ -49,6 +53,38 @@ TEST(Experiment, PolicyKindNames) {
   EXPECT_STREQ(policy_kind_name(PolicyKind::kLard), "LARD");
   EXPECT_STREQ(policy_kind_name(PolicyKind::kL2s), "L2S");
   EXPECT_EQ(all_policies().size(), 3u);
+  EXPECT_EQ(policy_kind_by_name("l2s"), PolicyKind::kL2s);
+  EXPECT_EQ(policy_kind_by_name("traditional"), PolicyKind::kTraditional);
+  EXPECT_EQ(policy_kind_by_name("rr"), PolicyKind::kRoundRobin);
+  EXPECT_EQ(policy_kind_by_name("rr-dns"), PolicyKind::kRoundRobin);
+  EXPECT_THROW((void)policy_kind_by_name("L2S"), Error);
+}
+
+// The model has an oblivious server (trad) and a conscious one (LARD,
+// L2S); it must not answer for a policy it does not describe.
+TEST(Experiment, RunModelRejectsPoliciesOutsideTheModel) {
+  const auto tr = workload();
+  ExperimentSpec spec = small_experiment();
+  for (const PolicyKind kind :
+       {PolicyKind::kRoundRobin, PolicyKind::kLardDispatcher, PolicyKind::kConsistentHash}) {
+    spec.policy = kind;
+    EXPECT_THROW((void)run_model(spec, tr), Error) << policy_kind_name(kind);
+  }
+}
+
+// A paper trace's scale must be a finite number > 0 that leaves at least
+// one request (and fewer than 2^64), and the error names the flag.
+TEST(Experiment, PaperTraceScaleMustBePositive) {
+  for (const double scale : {-0.1, 0.0, std::numeric_limits<double>::infinity(), 1e-9, 1e30}) {
+    try {
+      (void)TraceSpec::paper("calgary", scale).realize();
+      ADD_FAILURE() << "scale " << scale << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--scale"), std::string::npos) << e.what();
+    }
+  }
+  const char* argv[] = {"l2sim", "--scale", "-0.1"};
+  EXPECT_THROW((void)scale_from_cli(CliArgs(3, argv)), Error);
 }
 
 TEST(Experiment, FigureSeriesShape) {

@@ -88,8 +88,8 @@ TEST(Persistent, IidWorkloadsMakeStickyConnectionsMigrate) {
   // unrelated, so "stay where the connection is" loses to per-request
   // placement: most subsequent requests need a migration and the
   // forwarded fraction *rises* with connection length. (With temporally
-  // correlated workloads the effect reverses — see the persistent_study
-  // bench.) Either way, hit rates must stay locality-conscious.
+  // correlated workloads the effect reverses — see `l2sim study
+  // persistent`.) Either way, hit rates must stay locality-conscious.
   const auto tr = workload(8000);
   const auto r1 =
       [&] {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -60,6 +62,25 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), "a,b\n1,2\n3,4\n");
   std::remove((dir + "/l2sim_test_csv.csv").c_str());
+}
+
+// A write that fails (here: a file that is a symlink to /dev/full) stops
+// the writer at close() with the path, instead of passing silently.
+TEST(CsvWriter, CloseReportsAFailedWrite) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/l2sim_full_csv.csv";
+  std::remove(path.c_str());
+  ASSERT_EQ(::symlink("/dev/full", path.c_str()), 0);
+  CsvWriter csv(dir, "l2sim_full_csv", {"a", "b"});
+  csv.add_row({"1", "2"});
+  try {
+    csv.close();
+    ADD_FAILURE() << "close() did not report the failed write";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot write output file: " + path);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CsvDirFromArgs, ExplicitFlagWins) {

@@ -25,14 +25,18 @@
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
 #   9. AddressSanitizer build (build-asan/): all eight test binaries, the
-#      l2sim CLI and policy_comparison (the cli.* smoke tests run them),
-#      and ctest runs every registered test once. Continuations live in
+#      l2sim CLI and policy_comparison, and ctest runs every registered
+#      test once — the gtest suites, the cli.* smoke tests and every
+#      `l2sim study` (cli.study.*, label `study`, each at --scale 0.005
+#      on 2 threads; span-breakdown's passes only when its span
+#      reconstruction matches the engine). Continuations live in
 #      scheduler slots, resource slots and pooled VIA message and broadcast
 #      records, and replicas share server-set lists, so a lifetime bug
 #      could surface in any suite
 #  10. ThreadSanitizer build (build-tsan/): the same full suite, once
 #      (run_parallel, the thread budget and the per-job telemetry merge are
-#      the threaded code)
+#      the threaded code; every study runs its simulations through
+#      run_parallel)
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-bench]
 set -euo pipefail
@@ -83,11 +87,13 @@ if [[ "$skip_bench" -eq 0 ]]; then
   ./build/bench/planner_study
 fi
 
-# Each sanitizer block runs the whole suite once, unfiltered. (ctest 3.25
-# reads the argument after a bare `-j` as the job count, which used to drop
-# every -R/-L filter here and ran the suite twice per sanitizer.) The list
-# holds every target a registered test runs, l2sim_cli and policy_comparison
-# included, or ctest reports the missing ones as *_NOT_BUILT.
+# Each sanitizer block runs the whole suite once, unfiltered: the gtest
+# binaries, the cli.* tests and the `study`-labelled cli.study.* tests.
+# (ctest 3.25 reads the argument after a bare `-j` as the job count, which
+# used to drop every -R/-L filter here and ran the suite twice per
+# sanitizer.) The list holds every target a registered test runs,
+# l2sim_cli and policy_comparison included, or ctest reports the missing
+# ones as *_NOT_BUILT.
 tests="l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests l2sim_cli policy_comparison"
 
 if [[ "$skip_asan" -eq 0 ]]; then

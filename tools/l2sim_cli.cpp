@@ -15,9 +15,13 @@
 //   l2sim figure --paper calgary [--scale S] [--csv DIR] [--threads T]
 //             (Figures 7-10 and the Section 5.2 miss-rate, idle-time and
 //             forwarding tables from one sweep)
+//   l2sim study NAME [--scale S] [--csv DIR] [--threads T]
+//   l2sim study --list        (every other table, figure and study)
 //
-// Every command prints a human-readable table; figures can also emit CSV.
+// Every command prints a human-readable table; figures and studies can
+// also emit CSV.
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -25,7 +29,7 @@
 
 #include "l2sim/common/cli_args.hpp"
 #include "l2sim/l2sim.hpp"
-#include "l2sim/policy/round_robin.hpp"
+#include "studies.hpp"
 
 namespace {
 
@@ -74,6 +78,9 @@ int usage() {
       "  figure         --paper NAME [--scale S] [--csv DIR] [--threads T]\n"
       "                 Figures 7-10 plus the Section 5.2 miss-rate, idle\n"
       "                 and forwarding tables, from one sweep\n"
+      "  study          NAME [--scale S] [--csv DIR] [--threads T]\n"
+      "                 one of the paper's other tables, figures and\n"
+      "                 studies; --list names them\n"
       "  diff           (--trace FILE | --paper NAME [--scale S]) [run flags]\n"
       "                 [--seed-a N] [--seed-b N] [--policy-a P]\n"
       "                 [--policy-b P]\n"
@@ -94,20 +101,21 @@ trace::Trace load_trace(const Args& args) {
   }
   if (args.has("paper")) {
     auto spec = trace::paper_trace_spec(args.get("paper"));
-    const double scale = args.get_double("scale", 0.1);
-    spec.requests =
-        static_cast<std::uint64_t>(static_cast<double>(spec.requests) * scale);
     if (args.has("temporal")) spec.temporal_locality = args.get_double("temporal", 0.0);
-    return trace::generate(spec);
+    return trace::generate_scaled(spec, core::scale_from_cli(args));
   }
   throw Error("no trace source: pass --trace, --clf or --paper");
 }
 
-core::PolicyKind policy_kind_by_name(const std::string& name) {
-  if (name == "l2s") return core::PolicyKind::kL2s;
-  if (name == "lard") return core::PolicyKind::kLard;
-  if (name == "trad" || name == "traditional") return core::PolicyKind::kTraditional;
-  throw Error("policy must be l2s, lard or trad");
+/// The flags `figure` and `study` share: --scale S (0.1), --csv DIR and
+/// --threads T (0 = the thread budget).
+study::Options sweep_options(const Args& args) {
+  const int threads = args.get_int("threads", 0);
+  if (threads < 0)
+    throw Error("--threads must be >= 0 (0 = the thread budget), got " + std::to_string(threads));
+  return {.scale = core::scale_from_cli(args),
+          .csv_dir = args.get("csv", ""),
+          .threads = static_cast<unsigned>(threads)};
 }
 
 // model --analytic-cache: run_model with the Che cache level — the hit
@@ -122,7 +130,7 @@ int cmd_model_analytic(const Args& args) {
       args.get_double("cache", 32.0) * static_cast<double>(kMiB));
   spec.sim.arrival.open_loop_rate = args.get_double("rate", 0.0);
   spec.model_replication = args.get_double("replication", 0.15);
-  spec.policy = policy_kind_by_name(args.get("policy", "l2s"));
+  spec.policy = core::policy_kind_by_name(args.get("policy", "l2s"));
   core::apply_overload_cli(args, spec);  // --arrival/--flash-*/--churn-*
   spec.analytic.cache = true;
   spec.analytic.transient_samples = args.get_int("transient-samples", 64);
@@ -290,30 +298,21 @@ int cmd_plan(const Args& args) {
     source = "--clf " + args.get("clf");
   else
     source = "--paper " + args.get("paper") + " --scale " +
-             format_double(args.get_double("scale", 0.1), 2);
+             format_exact(core::scale_from_cli(args));
   const std::string policy = args.get("policy", "l2s");
   const double rate = args.get_double("rate", 0.0);
   std::cout << "\nplanned cells (top " << specs.size() << " of "
             << plan.cells.size() << "):\n";
+  // Every value prints so that it parses back to the planned cell's.
   for (const auto& s : specs) {
     std::cout << "  l2sim run " << source << " --policy " << policy
               << " --nodes " << s.sim.nodes << " --cache "
-              << format_double(static_cast<double>(s.sim.node.cache_bytes) /
-                                   static_cast<double>(kMiB),
-                               0);
-    if (rate > 0.0) std::cout << " --rate " << format_double(rate, 0);
+              << format_exact(static_cast<double>(s.sim.node.cache_bytes) /
+                              static_cast<double>(kMiB));
+    if (rate > 0.0) std::cout << " --rate " << format_exact(rate);
     std::cout << "   # " << s.name << '\n';
   }
   return 0;
-}
-
-std::unique_ptr<policy::Policy> policy_by_name(const std::string& name, double shrink) {
-  if (name == "l2s") return core::make_policy(core::PolicyKind::kL2s, shrink);
-  if (name == "lard") return core::make_policy(core::PolicyKind::kLard, shrink);
-  if (name == "trad" || name == "traditional")
-    return core::make_policy(core::PolicyKind::kTraditional, shrink);
-  if (name == "rr" || name == "rr-dns") return std::make_unique<policy::RoundRobinPolicy>();
-  throw Error("unknown policy: " + name + " (expected l2s, lard, trad or rr)");
 }
 
 int cmd_run(const Args& args) {
@@ -335,25 +334,8 @@ int cmd_run(const Args& args) {
     cfg.telemetry.span_sample_every =
         static_cast<std::uint64_t>(args.get_int("span-sample", 64));
   }
-  const std::string pname = args.get("policy", "l2s");
-  const auto r = [&]() -> core::SimResult {
-    if (pname == "l2s") spec.policy = core::PolicyKind::kL2s;
-    else if (pname == "lard") spec.policy = core::PolicyKind::kLard;
-    else if (pname == "trad" || pname == "traditional")
-      spec.policy = core::PolicyKind::kTraditional;
-    else {
-      // Policies outside PolicyKind (round robin) drive the simulator
-      // directly from the spec's SimConfig.
-      if (spec.output.wants_telemetry()) cfg.telemetry.enabled = true;
-      if (spec.output.wants_obs()) cfg.obs.enabled = true;
-      core::ClusterSimulation sim(cfg, tr,
-                                  policy_by_name(pname, spec.set_shrink_seconds));
-      core::SimResult result = sim.run();
-      core::export_outputs(spec.output, result);
-      return result;
-    }
-    return core::run_simulation(spec, tr);
-  }();
+  spec.policy = core::policy_kind_by_name(args.get("policy", "l2s"));
+  const core::SimResult r = core::run_simulation(spec, tr);
   if (r.telemetry != nullptr) telemetry::write_summary(std::cout, *r.telemetry);
   if (r.decisions != nullptr) obs::write_decisions_summary(std::cout, *r.decisions);
   std::cout << r.describe() << '\n';
@@ -390,7 +372,7 @@ int cmd_diff(const Args& args) {
   const auto tr = load_trace(args);
   core::ExperimentSpec base = core::run_spec_from_cli(args);
   base.name = tr.name();
-  base.policy = policy_kind_by_name(args.get("policy", "l2s"));
+  base.policy = core::policy_kind_by_name(args.get("policy", "l2s"));
 
   core::ExperimentSpec a = base;
   core::ExperimentSpec b = base;
@@ -398,8 +380,8 @@ int cmd_diff(const Args& args) {
     a.sim.seed = static_cast<std::uint64_t>(args.get_int("seed-a", 0));
   if (args.has("seed-b"))
     b.sim.seed = static_cast<std::uint64_t>(args.get_int("seed-b", 0));
-  if (args.has("policy-a")) a.policy = policy_kind_by_name(args.get("policy-a"));
-  if (args.has("policy-b")) b.policy = policy_kind_by_name(args.get("policy-b"));
+  if (args.has("policy-a")) a.policy = core::policy_kind_by_name(args.get("policy-a"));
+  if (args.has("policy-b")) b.policy = core::policy_kind_by_name(args.get("policy-b"));
 
   obs::DiffOptions options;
   options.context = static_cast<std::size_t>(args.get_int("context", 8));
@@ -412,25 +394,20 @@ int cmd_diff(const Args& args) {
 // miss-rate, idle-time and forwarding tables read from the same results.
 int cmd_figure(const Args& args) {
   if (!args.has("paper")) throw Error("figure: --paper NAME required");
-  const double scale = args.get_double("scale", 0.1);
-  const int threads = args.get_int("threads", 0);  // 0 = the thread budget
-  if (threads < 0)
-    throw Error("--threads must be >= 0 (0 = the thread budget), got " + std::to_string(threads));
+  const study::Options o = sweep_options(args);
   core::ExperimentSpec spec;
   spec.name = args.get("paper");
-  spec.trace = core::TraceSpec::paper(spec.name, scale);
+  spec.trace = core::TraceSpec::paper(spec.name, o.scale);
   spec.sim.node.cache_bytes = 32 * kMiB;  // the paper's simulation memory size
   // The 20 s replication-decay windows cover the same fraction of a
   // truncated replay as they do of a full-length one.
-  spec.set_shrink_seconds = 20.0 * scale;
+  spec.set_shrink_seconds = 20.0 * o.scale;
 
   const auto tr = spec.trace.realize();
-  const auto fig =
-      core::run_figure(spec, tr, core::kFigureNodeCounts, static_cast<unsigned>(threads));
-  const std::string csv_dir = args.get("csv", "");
+  const auto fig = core::run_figure(spec, tr, core::kFigureNodeCounts, o.threads);
 
   core::print_throughput_figure(std::cout, fig);
-  core::write_throughput_csv(fig, csv_dir, "figure_" + tr.name());
+  core::write_throughput_csv(fig, o.csv_dir, "figure_" + tr.name());
   // The paper's comparisons at the largest cluster (shapes, not absolute
   // numbers, are what the reproduction checks).
   const std::size_t last = fig.node_counts.size() - 1;
@@ -447,12 +424,13 @@ int cmd_figure(const Args& args) {
   for (const auto& [metric, csv_prefix] : studies) {
     std::cout << '\n';
     core::print_metric_figure(std::cout, fig, metric);
-    CsvWriter csv(csv_dir, csv_prefix + tr.name(), {"nodes", "l2s", "lard", "trad"});
+    CsvWriter csv(o.csv_dir, csv_prefix + tr.name(), {"nodes", "l2s", "lard", "trad"});
     for (std::size_t i = 0; i < fig.node_counts.size(); ++i)
       csv.add_row({std::to_string(fig.node_counts[i]),
                    format_double(core::metric_value(fig.l2s[i], metric), 2),
                    format_double(core::metric_value(fig.lard[i], metric), 2),
                    format_double(core::metric_value(fig.traditional[i], metric), 2)});
+    csv.close();
   }
 
   std::cout << "\nL2S forwarded";
@@ -467,6 +445,20 @@ int cmd_figure(const Args& args) {
   return 0;
 }
 
+// study: one registered study (tools/studies.cpp), or --list of them all.
+int cmd_study(const Args& args) {
+  const auto& all = study::studies();
+  if (args.has("list")) {
+    for (const auto& s : all) std::cout << std::left << std::setw(20) << s.name << s.summary << '\n';
+    return 0;
+  }
+  if (args.positional().empty()) throw Error("study: NAME required (l2sim study --list)");
+  const std::string& name = args.positional()[0];
+  for (const auto& s : all)
+    if (name == s.name) return s.run(sweep_options(args));
+  throw Error("study: unknown study '" + name + "' (l2sim study --list)");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -479,6 +471,7 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "figure") return cmd_figure(args);
+    if (cmd == "study") return cmd_study(args);
     if (cmd == "diff") return cmd_diff(args);
     return usage();
   } catch (const l2s::Error& e) {
