@@ -34,18 +34,21 @@ void ServicePath::begin_service(const ConnPtr& conn, bool opening) {
   const auto att = conn->attempt;
   const int read_node = conn->service_node;
   const int read_epoch = n.epoch();
-  const Bytes file_bytes = ctx_.trace->files().size_of(conn->request.file);
-  n.disk().read(file_bytes, [this, conn, file_bytes, att, read_node,
+  const trace::FileId file = conn->request.file;
+  const Bytes file_bytes = ctx_.trace->files().size_of(file);
+  n.disk().read(file_bytes, [this, conn, file_bytes, file, att, read_node,
                              read_epoch]() {
     // The read happened, so the file is resident whether or not the
     // requesting attempt is still around — the page cache outlives a
     // hung-up client. Skipping this insert for abandoned attempts makes
     // retry storms self-sustaining: timed-out reads never warm the cache,
     // so every retry misses again, forever. Only a crash/restart in
-    // between voids the fill (that memory is gone).
+    // between voids the fill (that memory is gone). The fill is the file
+    // that was read: by now a persistent connection may carry its next
+    // request.
     cluster::Node& node = ctx_.node(read_node);
     if (node.alive() && node.epoch() == read_epoch)
-      node.file_cache().insert(conn->request.file, file_bytes);
+      node.file_cache().insert(file, file_bytes);
     if (attempt_stale(conn, att)) return;
     if (!service_current(conn)) {
       ctx_.retry->abort_connection(conn, obs::DecisionCause::kServiceNodeDown);

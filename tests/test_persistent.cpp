@@ -154,5 +154,35 @@ TEST(Persistent, ConfigValidation) {
   EXPECT_THROW(ClusterSimulation(bad, tr, std::make_unique<policy::L2sPolicy>()), Error);
 }
 
+// A miss read that outlives its attempt (hedged or timed out) still fills
+// the cache when the disk finishes, and by then a persistent connection may
+// carry its next request. The fill must be the file that was read, at that
+// file's size: every node's used() then equals the summed true sizes of the
+// files it holds.
+TEST(Persistent, SupersededReadsFillTheFileTheyRead) {
+  auto spec = trace::paper_trace_spec("clarknet");
+  spec.requests = 60000;
+  const auto tr = trace::generate(spec);
+  SimConfig hedged = persistent_config(8, 4.0, PersistentMode::kConnectionHandoff);
+  hedged.node.cache_bytes = 8 * kMiB;
+  hedged.overload.hedge_delay_seconds = 0.02;
+  SimConfig timed_out = hedged;
+  timed_out.overload.hedge_delay_seconds = 0.0;
+  timed_out.retry.attempt_timeout_seconds = 0.05;
+  timed_out.retry.max_retries = 2;
+  for (const SimConfig& cfg : {hedged, timed_out}) {
+    ClusterSimulation sim(cfg, tr, make_policy(PolicyKind::kTraditional));
+    const auto r = sim.run();
+    EXPECT_GT(r.hedge_attempts + r.retry_attempts, 0u);
+    for (int n = 0; n < cfg.nodes; ++n) {
+      const cache::FileCache& c = sim.node(n).file_cache();
+      Bytes resident = 0;
+      for (trace::FileId f = 0; f < tr.files().count(); ++f)
+        if (c.contains(f)) resident += tr.files().size_of(f);
+      EXPECT_EQ(c.used(), resident) << "node " << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace l2s::core
