@@ -70,6 +70,22 @@ void BM_LruCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_LruCacheHit);
 
+// The miss path: a cyclic scan over twice as many files as fit, so every
+// lookup misses and every insert evicts the least recent file.
+void BM_LruCacheMissEvict(benchmark::State& state) {
+  cache::LruCache cache(32 * kMiB);
+  constexpr cache::FileId kFiles = 2048;  // 64 MiB of 32 KiB files
+  cache::FileId id = 0;
+  for (auto _ : state) {
+    const bool hit = cache.lookup(id);
+    benchmark::DoNotOptimize(hit);
+    if (!hit) cache.insert(id, 32 * kKiB);
+    id = (id + 1) % kFiles;
+  }
+  state.counters["evictions"] = static_cast<double>(cache.stats().evictions);
+}
+BENCHMARK(BM_LruCacheMissEvict);
+
 void BM_LruCacheChurn(benchmark::State& state) {
   cache::LruCache cache(8 * kMiB);
   Rng rng(7);

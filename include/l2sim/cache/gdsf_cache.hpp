@@ -10,9 +10,10 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "l2sim/cache/file_cache.hpp"
+#include "l2sim/cache/file_index.hpp"
 
 namespace l2s::cache {
 
@@ -38,19 +39,24 @@ class GdsfCache final : public FileCache {
 
  private:
   struct Entry {
-    Bytes size;
-    double frequency;
-    std::multimap<double, FileId>::iterator by_priority;
+    Bytes size = 0;
+    double frequency = 0.0;
+    std::multimap<double, FileId>::iterator by_priority{};
   };
 
   [[nodiscard]] double priority_of(double frequency, Bytes size) const;
   void reprioritize(FileId id, Entry& entry);
+  /// Drop the entry in `slot` (already out of the index): its bytes, its
+  /// priority and its slot, which the next insertion reuses.
+  void remove(std::uint32_t slot);
   void evict_one();
 
   Bytes capacity_;
   Bytes used_ = 0;
   double floor_ = 0.0;  ///< L, rises with evictions
-  std::unordered_map<FileId, Entry> index_;
+  FileIndex index_;  ///< resident file -> entry slot
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_;  ///< entry slots to reuse
   std::multimap<double, FileId> by_priority_;  ///< min priority first
   CacheStats stats_;
 };

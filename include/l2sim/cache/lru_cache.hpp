@@ -2,13 +2,18 @@
 // memory used as file cache. The paper's servers cache entire files; an
 // access either hits (file fully resident) or misses (file read from disk
 // and inserted, evicting least-recently-used files until it fits).
+//
+// The recency list is intrusive over a pool of entries linked by uint32_t
+// indices (a freed entry is reused by the next insertion), and a FileIndex
+// maps each resident file to its entry, so memory follows the resident
+// files and a lookup is one probe run plus two link updates.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "l2sim/cache/file_cache.hpp"
+#include "l2sim/cache/file_index.hpp"
 
 namespace l2s::cache {
 
@@ -42,17 +47,26 @@ class LruCache final : public FileCache {
   void clear() override;
 
  private:
+  static constexpr std::uint32_t kNil = FileIndex::kAbsent;
+
   struct Entry {
-    FileId id;
-    Bytes size;
+    Bytes size = 0;
+    FileId id = 0;
+    std::uint32_t prev = kNil;  ///< toward the MRU end
+    std::uint32_t next = kNil;  ///< toward the LRU end; the free list's link
   };
 
+  void unlink(std::uint32_t e);
+  void push_front(std::uint32_t e);
   void evict_one();
 
   Bytes capacity_;
   Bytes used_ = 0;
-  std::list<Entry> lru_;  // front = MRU, back = LRU
-  std::unordered_map<FileId, std::list<Entry>::iterator> index_;
+  FileIndex index_;
+  std::vector<Entry> entries_;
+  std::uint32_t head_ = kNil;  ///< MRU
+  std::uint32_t tail_ = kNil;  ///< LRU
+  std::uint32_t free_ = kNil;  ///< first free entry
   CacheStats stats_;
 };
 

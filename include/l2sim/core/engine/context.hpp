@@ -50,6 +50,9 @@ struct EngineContext {
   /// open-loop gaps). Exactly one component draws at a time, so sharing
   /// the stream keeps the draw order identical to the monolithic engine.
   Rng* rng = nullptr;
+  /// Every open client connection (ArrivalSource acquires, ServicePath and
+  /// RetryManager release).
+  ConnectionPool* conns = nullptr;
 
   // Engine components (owned by the coordinator, wired here).
   ArrivalSource* arrival = nullptr;

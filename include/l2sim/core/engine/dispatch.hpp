@@ -15,15 +15,15 @@ class Dispatcher {
   /// Launch the connection's current attempt: entry selection, router,
   /// entry NIC, parse, then distribute. Called at injection and again on
   /// every retry; also arms the per-attempt timeout.
-  void start_attempt(const ConnPtr& conn);
+  void start_attempt(ConnRef conn);
 
  private:
   /// Ask the policy for a service node (synchronously or via its
   /// dispatcher node) once the entry node has parsed the request.
-  void distribute(const ConnPtr& conn);
+  void distribute(ConnRef conn);
   /// Route the parsed request to the chosen node: locally into the service
   /// path, or as a hand-off message across the cluster network.
-  void dispatch_to(const ConnPtr& conn, int target);
+  void dispatch_to(ConnRef conn, int target);
 
   EngineContext& ctx_;
 };

@@ -1,28 +1,29 @@
 // Request-lifecycle vocabulary shared by the engine components: the
-// connection state machine (cluster::ConnectionState), the
-// attempt-staleness guard, and the LifecycleObserver interface through
-// which the engine publishes every lifecycle event, as one decision
-// record, without knowing who listens (metrics, availability tracking,
-// telemetry, the flight recorder).
+// connection state machine (cluster::ConnectionState), the connection
+// handle (ConnRef), the attempt-staleness guard, and the LifecycleObserver
+// interface through which the engine publishes every lifecycle event, as
+// one decision record, without knowing who listens (metrics, availability
+// tracking, telemetry, the flight recorder).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "l2sim/cluster/connection.hpp"
 #include "l2sim/common/units.hpp"
+#include "l2sim/core/engine/connection_pool.hpp"
 #include "l2sim/obs/decision.hpp"
 
 namespace l2s::core::engine {
 
 using cluster::ConnectionState;
-using ConnPtr = std::shared_ptr<cluster::Connection>;
 
 /// A callback belongs to a superseded attempt (or a finished request).
 /// Every event the engine schedules on behalf of an attempt captures the
-/// attempt id and checks this first; kDone is absorbing.
-[[nodiscard]] inline bool attempt_stale(const ConnPtr& conn, std::uint32_t att) {
-  return conn->state == ConnectionState::kDone || conn->attempt != att;
+/// attempt id and checks this first. A closed or failed connection's slot
+/// has been released, perhaps to another connection, so its handle is
+/// stale; kDone is absorbing.
+[[nodiscard]] inline bool attempt_stale(ConnRef conn, std::uint32_t att) {
+  return conn.stale() || conn->state == ConnectionState::kDone || conn->attempt != att;
 }
 
 /// A sink on the engine's lifecycle event stream. Every lifecycle event

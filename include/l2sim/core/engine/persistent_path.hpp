@@ -18,21 +18,21 @@ class PersistentPath {
   /// The client pipelines its next request over the open connection: it
   /// passes the router and the current node's NI-in, is parsed, and then
   /// redistributed without the connection-establishment work.
-  void continue_connection(const ConnPtr& conn);
+  void continue_connection(ConnRef conn);
 
  private:
   /// Policy decision for a request on an open connection, then local
   /// service, migration or remote fetch per persistence.mode.
-  void persistent_distribute(const ConnPtr& conn);
+  void persistent_distribute(ConnRef conn);
   /// TCP connection hand-off: state moves to `target`, which owns the
   /// connection (and the client) from here on.
-  void migrate_connection(const ConnPtr& conn, int target);
+  void migrate_connection(ConnRef conn, int target);
   /// Back-end request forwarding: `owner` supplies the content over the
   /// VIA; the connection stays put and its node replies to the client.
-  void remote_fetch(const ConnPtr& conn, int owner);
+  void remote_fetch(ConnRef conn, int owner);
   /// The owner's half of a remote fetch once the content is in its cache:
   /// copy it to the NIC, ship it to `current`, which replies to the client.
-  void send_back(const ConnPtr& conn, int current, int owner, std::uint32_t att);
+  void send_back(ConnRef conn, int current, int owner, std::uint32_t att);
 
   EngineContext& ctx_;
 };

@@ -27,31 +27,31 @@ class RetryManager {
   /// left, otherwise the client sees a failure and the admission slot
   /// frees after the client timeout. Idempotent. `cause` attributes the
   /// abort in the decision log (entry node down, no policy target, ...).
-  void abort_connection(const ConnPtr& conn, obs::DecisionCause cause);
+  void abort_connection(ConnRef conn, obs::DecisionCause cause);
 
   /// Consume retry budget and schedule the next attempt after backoff.
-  void schedule_retry(const ConnPtr& conn, obs::DecisionCause cause);
+  void schedule_retry(ConnRef conn, obs::DecisionCause cause);
 
   /// Arm the per-request deadline (measured from the current request's
   /// arrival); re-armed by each request on a persistent connection.
-  void arm_deadline(const ConnPtr& conn);
+  void arm_deadline(ConnRef conn);
 
   /// Arm the per-attempt timeout for the connection's current attempt: an
   /// attempt that hangs (lost hand-off, dead node, glacial queue) is
   /// abandoned and retried or failed. No-op when not configured.
-  void arm_attempt_timeout(const ConnPtr& conn);
+  void arm_attempt_timeout(ConnRef conn);
 
   /// Arm the hedge timer for the current request: if it is still the same
   /// request and attempt after overload.hedge_delay_seconds, abandon the
   /// straggling attempt and re-dispatch (spending a retry token). Armed
   /// per request (arrival and each persistent pull); re-arms itself up to
   /// overload.max_hedges times. No-op when hedging is off.
-  void arm_hedge(const ConnPtr& conn);
+  void arm_hedge(ConnRef conn);
 
   /// Final failure: mark kDone, emit a kFailure record with `cause`
   /// (kDeadlineExpired or kRetriesExhausted), free the admission slot after
-  /// `slot_hold` (0 = immediately).
-  void fail_connection(const ConnPtr& conn, obs::DecisionCause cause, SimTime slot_hold);
+  /// `slot_hold` (0 = immediately), then release the connection's pool slot.
+  void fail_connection(ConnRef conn, obs::DecisionCause cause, SimTime slot_hold);
 
  private:
   EngineContext& ctx_;

@@ -16,25 +16,27 @@ class ServicePath {
   /// Serve the connection's current request at conn->service_node.
   /// `opening` counts the connection into the node's open-connection load
   /// (false when a persistent connection re-serves at its current node).
-  void begin_service(const ConnPtr& conn, bool opening);
+  void begin_service(ConnRef conn, bool opening);
 
   /// Reply path: reply CPU time, NI-out, router, then completion. Entered
   /// directly by PersistentPath when content arrived via a remote fetch.
-  void reply_path(const ConnPtr& conn);
+  void reply_path(ConnRef conn);
 
   /// Release the service node's open-connection count if this connection
   /// still holds one against the node's current incarnation.
-  void release_service_count(const ConnPtr& conn);
+  void release_service_count(ConnRef conn);
 
   /// The connection's service node is alive and still the incarnation the
   /// connection was counted against (always true without crashes).
-  [[nodiscard]] bool service_current(const ConnPtr& conn) const;
+  [[nodiscard]] bool service_current(ConnRef conn) const;
 
  private:
   /// The current request completed: record it, then pull the next request
   /// of a persistent connection or close.
-  void request_finished(const ConnPtr& conn);
-  void close_connection(const ConnPtr& conn);
+  void request_finished(ConnRef conn);
+  /// The connection's last request completed: mark kDone, emit kClose, free
+  /// the admission slot, then release the connection's pool slot.
+  void close_connection(ConnRef conn);
 
   EngineContext& ctx_;
 };

@@ -105,6 +105,9 @@ class ClusterSimulation {
   std::unique_ptr<fault::FailureDetector> detector_;
   Rng rng_{0};  ///< simulation random stream (seeded from config)
 
+  /// Every open client connection; engine continuations hold ConnRef
+  /// handles into it.
+  engine::ConnectionPool conns_;
   // Engine components (wired through ctx_; declaration order is
   // construction order, so ctx_ comes first).
   engine::EngineContext ctx_;

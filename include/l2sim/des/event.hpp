@@ -2,9 +2,12 @@
 //
 // InlineEvent is a move-only, type-erased `void()` callable with a fixed
 // inline buffer sized for the capture sets the simulator actually creates
-// (`[this, conn]`, `[this, conn, bytes]`, ... — a pointer, a shared_ptr and
-// a few scalars). Callables that fit are stored in place: scheduling an
-// event performs zero heap allocations. Oversized captures spill into
+// (`[this, conn]`, `[this, conn, bytes]`, ... — a pointer, a 16-byte
+// connection handle and a few scalars). Callables that fit are stored in
+// place: scheduling an event performs zero heap allocations. The engine's
+// captures are all trivially copyable (the handle is a slot pointer and a
+// generation, not a reference count), so they relocate by memcpy and are
+// dropped without a destructor call. Oversized captures spill into
 // EventArena, a thread-local size-classed free list, so even the spill
 // path stops allocating once the simulation reaches steady state. The
 // simulator's own hot path never spills: a continuation waiting on a
@@ -57,8 +60,9 @@ class EventArena {
 class InlineEvent {
  public:
   /// Inline capture capacity. 48 bytes holds the simulator's common shapes
-  /// — `[this, conn]` (8 + 16), `[this, conn, current, owner, file_bytes]`
-  /// (40) — while keeping sizeof(InlineEvent) to a single cache line.
+  /// — `[this, conn]` (8 + 16) up to the miss read's
+  /// `[this, conn, file_bytes, file, att, read_node, read_epoch]` (48) —
+  /// while keeping sizeof(InlineEvent) to a single cache line.
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = 16;
 

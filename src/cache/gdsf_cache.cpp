@@ -20,18 +20,25 @@ void GdsfCache::reprioritize(FileId id, Entry& entry) {
 }
 
 bool GdsfCache::lookup(FileId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) {
+  const std::uint32_t slot = index_.find(id);
+  if (slot == FileIndex::kAbsent) {
     ++stats_.misses;
     return false;
   }
-  it->second.frequency += 1.0;
-  reprioritize(id, it->second);
+  Entry& entry = entries_[slot];
+  entry.frequency += 1.0;
+  reprioritize(id, entry);
   ++stats_.hits;
   return true;
 }
 
-bool GdsfCache::contains(FileId id) const { return index_.contains(id); }
+bool GdsfCache::contains(FileId id) const { return index_.find(id) != FileIndex::kAbsent; }
+
+void GdsfCache::remove(std::uint32_t slot) {
+  used_ -= entries_[slot].size;
+  by_priority_.erase(entries_[slot].by_priority);
+  free_.push_back(slot);
+}
 
 void GdsfCache::evict_one() {
   L2S_REQUIRE(!by_priority_.empty());
@@ -39,28 +46,32 @@ void GdsfCache::evict_one() {
   // The aging floor rises to the evicted priority: long-resident files
   // decay relative to fresh insertions.
   floor_ = victim->first;
-  const FileId id = victim->second;
-  const auto it = index_.find(id);
-  L2S_REQUIRE(it != index_.end());
-  used_ -= it->second.size;
+  const std::uint32_t slot = index_.erase(victim->second);
+  L2S_REQUIRE(slot != FileIndex::kAbsent);
   ++stats_.evictions;
-  stats_.bytes_evicted += it->second.size;
-  by_priority_.erase(victim);
-  index_.erase(it);
+  stats_.bytes_evicted += entries_[slot].size;
+  remove(slot);
 }
 
 void GdsfCache::insert(FileId id, Bytes size) {
   if (size > capacity_) return;
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    used_ -= it->second.size;
-    it->second.size = size;
+  std::uint32_t slot = index_.find(id);
+  if (slot != FileIndex::kAbsent) {
+    Entry& entry = entries_[slot];
+    used_ -= entry.size;
+    entry.size = size;
     used_ += size;
-    reprioritize(id, it->second);
+    reprioritize(id, entry);
   } else {
-    Entry entry{size, 1.0, {}};
-    entry.by_priority = by_priority_.emplace(priority_of(1.0, size), id);
-    index_.emplace(id, entry);
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(entries_.size());
+      entries_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    entries_[slot] = Entry{size, 1.0, by_priority_.emplace(priority_of(1.0, size), id)};
+    index_.insert(id, slot);
     used_ += size;
     ++stats_.insertions;
   }
@@ -68,16 +79,16 @@ void GdsfCache::insert(FileId id, Bytes size) {
 }
 
 bool GdsfCache::erase(FileId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  used_ -= it->second.size;
-  by_priority_.erase(it->second.by_priority);
-  index_.erase(it);
+  const std::uint32_t slot = index_.erase(id);
+  if (slot == FileIndex::kAbsent) return false;
+  remove(slot);
   return true;
 }
 
 void GdsfCache::clear() {
   index_.clear();
+  entries_.clear();
+  free_.clear();
   by_priority_.clear();
   used_ = 0;
   floor_ = 0.0;

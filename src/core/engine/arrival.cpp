@@ -96,7 +96,7 @@ std::uint32_t ArrivalSource::sample_connection_length() {
 }
 
 void ArrivalSource::inject(std::uint64_t seq, const trace::Request& r) {
-  auto conn = std::make_shared<cluster::Connection>();
+  const ConnRef conn = ctx_.conns->acquire();
   conn->id = seq;
   conn->request = r;
   apply_churn(conn->request);

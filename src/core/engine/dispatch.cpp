@@ -9,7 +9,7 @@
 
 namespace l2s::core::engine {
 
-void Dispatcher::start_attempt(const ConnPtr& conn) {
+void Dispatcher::start_attempt(ConnRef conn) {
   conn->arrival = ctx_.now();
   conn->state = ConnectionState::kArriving;
   conn->service_node = -1;
@@ -62,7 +62,7 @@ void Dispatcher::start_attempt(const ConnPtr& conn) {
   });
 }
 
-void Dispatcher::distribute(const ConnPtr& conn) {
+void Dispatcher::distribute(ConnRef conn) {
   if (conn->state == ConnectionState::kDone) return;
   if (!ctx_.node_alive(conn->entry_node)) {
     ctx_.retry->abort_connection(conn, obs::DecisionCause::kEntryNodeDown);
@@ -81,7 +81,7 @@ void Dispatcher::distribute(const ConnPtr& conn) {
   dispatch_to(conn, ctx_.policy->select_service_node(conn->entry_node, conn->request));
 }
 
-void Dispatcher::dispatch_to(const ConnPtr& conn, int target) {
+void Dispatcher::dispatch_to(ConnRef conn, int target) {
   if (conn->state == ConnectionState::kDone) return;
   conn->t_decided = ctx_.now();
   if (target < 0) {

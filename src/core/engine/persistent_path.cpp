@@ -6,7 +6,7 @@
 
 namespace l2s::core::engine {
 
-void PersistentPath::continue_connection(const ConnPtr& conn) {
+void PersistentPath::continue_connection(ConnRef conn) {
   const auto att = conn->attempt;
   ctx_.router->forward(ctx_.cfg().request_msg_bytes, [this, conn, att]() {
     if (attempt_stale(conn, att)) return;
@@ -35,7 +35,7 @@ void PersistentPath::continue_connection(const ConnPtr& conn) {
   });
 }
 
-void PersistentPath::persistent_distribute(const ConnPtr& conn) {
+void PersistentPath::persistent_distribute(ConnRef conn) {
   if (conn->state == ConnectionState::kDone) return;
   if (!ctx_.service->service_current(conn)) {
     ctx_.retry->abort_connection(conn, obs::DecisionCause::kServiceNodeDown);
@@ -56,7 +56,7 @@ void PersistentPath::persistent_distribute(const ConnPtr& conn) {
   }
 }
 
-void PersistentPath::migrate_connection(const ConnPtr& conn, int target) {
+void PersistentPath::migrate_connection(ConnRef conn, int target) {
   ctx_.note_decision(obs::DecisionKind::kMigrate, obs::DecisionCause::kNone, conn->id,
                      conn->service_node, target, conn->attempt);
   conn->state = ConnectionState::kForwarding;
@@ -88,7 +88,7 @@ void PersistentPath::migrate_connection(const ConnPtr& conn, int target) {
   });
 }
 
-void PersistentPath::remote_fetch(const ConnPtr& conn, int owner) {
+void PersistentPath::remote_fetch(ConnRef conn, int owner) {
   ctx_.note_decision(obs::DecisionKind::kRemoteFetch, obs::DecisionCause::kNone, conn->id,
                      conn->service_node, owner, conn->attempt);
   // Back-end request forwarding: the connection stays put; the caching
@@ -127,8 +127,7 @@ void PersistentPath::remote_fetch(const ConnPtr& conn, int owner) {
   });
 }
 
-void PersistentPath::send_back(const ConnPtr& conn, int current, int owner,
-                               std::uint32_t att) {
+void PersistentPath::send_back(ConnRef conn, int current, int owner, std::uint32_t att) {
   cluster::Node& src = ctx_.node(owner);
   // Memory-to-NIC copy at the owner, bulk transfer, then the normal reply
   // path at the connection's node.

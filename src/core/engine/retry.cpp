@@ -9,7 +9,7 @@
 
 namespace l2s::core::engine {
 
-void RetryManager::fail_connection(const ConnPtr& conn, obs::DecisionCause cause,
+void RetryManager::fail_connection(ConnRef conn, obs::DecisionCause cause,
                                    SimTime slot_hold) {
   if (conn->state == ConnectionState::kDone) return;
   ctx_.service->release_service_count(conn);
@@ -19,9 +19,10 @@ void RetryManager::fail_connection(const ConnPtr& conn, obs::DecisionCause cause
                      conn->service_node, conn->attempt,
                      static_cast<std::int64_t>(conn->retries_used), conn.get());
   ctx_.admission->release_after(slot_hold);
+  ctx_.conns->release(conn);
 }
 
-void RetryManager::abort_connection(const ConnPtr& conn, obs::DecisionCause cause) {
+void RetryManager::abort_connection(ConnRef conn, obs::DecisionCause cause) {
   if (conn->state == ConnectionState::kDone) return;
   const bool retries_left =
       conn->retries_used < static_cast<std::uint32_t>(ctx_.cfg().retry.max_retries);
@@ -43,7 +44,7 @@ void RetryManager::abort_connection(const ConnPtr& conn, obs::DecisionCause caus
                   seconds_to_simtime(ctx_.cfg().failure_client_timeout_seconds));
 }
 
-void RetryManager::schedule_retry(const ConnPtr& conn, obs::DecisionCause cause) {
+void RetryManager::schedule_retry(ConnRef conn, obs::DecisionCause cause) {
   ++conn->retries_used;
   ++conn->attempt;
   ctx_.note_decision(obs::DecisionKind::kRetry, cause, conn->id, conn->entry_node, -1,
@@ -60,19 +61,19 @@ void RetryManager::schedule_retry(const ConnPtr& conn, obs::DecisionCause cause)
   });
 }
 
-void RetryManager::arm_deadline(const ConnPtr& conn) {
+void RetryManager::arm_deadline(ConnRef conn) {
   const double ddl = ctx_.cfg().retry.deadline_seconds;
   if (ddl <= 0.0) return;
   conn->deadline_at = ctx_.now() + seconds_to_simtime(ddl);
   const SimTime target = conn->deadline_at;
   ctx_.sched->after(seconds_to_simtime(ddl), [this, conn, target]() {
-    if (conn->state == ConnectionState::kDone) return;
+    if (conn.stale() || conn->state == ConnectionState::kDone) return;
     if (conn->deadline_at != target) return;  // a later request re-armed it
     fail_connection(conn, obs::DecisionCause::kDeadlineExpired, 0);
   });
 }
 
-void RetryManager::arm_attempt_timeout(const ConnPtr& conn) {
+void RetryManager::arm_attempt_timeout(ConnRef conn) {
   if (ctx_.cfg().retry.attempt_timeout_seconds <= 0.0) return;
   const auto att = conn->attempt;
   ctx_.sched->after(seconds_to_simtime(ctx_.cfg().retry.attempt_timeout_seconds),
@@ -100,7 +101,7 @@ void RetryManager::arm_attempt_timeout(const ConnPtr& conn) {
                     });
 }
 
-void RetryManager::arm_hedge(const ConnPtr& conn) {
+void RetryManager::arm_hedge(ConnRef conn) {
   const auto& ov = ctx_.cfg().overload;
   if (!ctx_.measured_pass || !ov.hedging_enabled()) return;
   if (conn->hedges_used >= static_cast<std::uint32_t>(ov.max_hedges)) return;
@@ -108,11 +109,10 @@ void RetryManager::arm_hedge(const ConnPtr& conn) {
   const auto id = conn->id;
   ctx_.sched->after(
       seconds_to_simtime(ov.hedge_delay_seconds), [this, conn, att, id]() {
-        // Still the same request (persistent connections reuse the struct)
-        // and still the same live attempt (not completed, failed, retried
-        // or waiting out a backoff)?
-        if (conn->id != id) return;
-        if (attempt_stale(conn, att)) return;
+        // Still the same live attempt (not completed, failed, retried or
+        // waiting out a backoff) of the same request (persistent
+        // connections carry several)?
+        if (attempt_stale(conn, att) || conn->id != id) return;
         if (!ctx_.overload->try_spend_retry_token()) {
           ctx_.note_decision(obs::DecisionKind::kBudgetDeny,
                              obs::DecisionCause::kBudgetDeniedHedge, conn->id,

@@ -8,7 +8,7 @@
 
 namespace l2s::core::engine {
 
-void ServicePath::begin_service(const ConnPtr& conn, bool opening) {
+void ServicePath::begin_service(ConnRef conn, bool opening) {
   if (conn->state == ConnectionState::kDone) return;
   if (!service_current(conn)) {
     ctx_.retry->abort_connection(conn, obs::DecisionCause::kServiceNodeDown);
@@ -59,7 +59,7 @@ void ServicePath::begin_service(const ConnPtr& conn, bool opening) {
   });
 }
 
-void ServicePath::reply_path(const ConnPtr& conn) {
+void ServicePath::reply_path(ConnRef conn) {
   if (conn->state == ConnectionState::kDone) return;
   if (!service_current(conn)) {
     ctx_.retry->abort_connection(conn, obs::DecisionCause::kServiceNodeDown);
@@ -82,7 +82,7 @@ void ServicePath::reply_path(const ConnPtr& conn) {
   });
 }
 
-void ServicePath::request_finished(const ConnPtr& conn) {
+void ServicePath::request_finished(ConnRef conn) {
   if (conn->state == ConnectionState::kDone) return;
   conn->completion = ctx_.now();
   ++conn->requests_served;
@@ -115,7 +115,7 @@ void ServicePath::request_finished(const ConnPtr& conn) {
   close_connection(conn);
 }
 
-void ServicePath::close_connection(const ConnPtr& conn) {
+void ServicePath::close_connection(ConnRef conn) {
   conn->state = ConnectionState::kDone;
   cluster::Node& n = ctx_.node(conn->service_node);
   // A completion that limps in across its node's crash+restart must not
@@ -128,9 +128,10 @@ void ServicePath::close_connection(const ConnPtr& conn) {
                      static_cast<std::int64_t>(conn->requests_served), conn.get());
   if (same_epoch) ctx_.policy->on_complete(conn->service_node, conn->request);
   ctx_.admission->on_complete();
+  ctx_.conns->release(conn);
 }
 
-void ServicePath::release_service_count(const ConnPtr& conn) {
+void ServicePath::release_service_count(ConnRef conn) {
   if (!conn->counted_in_service) return;
   conn->counted_in_service = false;
   cluster::Node& n = ctx_.node(conn->service_node);
@@ -139,7 +140,7 @@ void ServicePath::release_service_count(const ConnPtr& conn) {
   if (n.alive() && n.epoch() == conn->service_epoch) n.connection_closed();
 }
 
-bool ServicePath::service_current(const ConnPtr& conn) const {
+bool ServicePath::service_current(ConnRef conn) const {
   const cluster::Node& n = ctx_.node(conn->service_node);
   if (!n.alive()) return false;
   return !conn->counted_in_service || n.epoch() == conn->service_epoch;

@@ -77,6 +77,7 @@ ClusterSimulation::ClusterSimulation(SimConfig config, const trace::Trace& trace
   ctx_.policy = policy_.get();
   ctx_.nodes = &nodes_;
   ctx_.rng = &rng_;
+  ctx_.conns = &conns_;
   admission_ = std::make_unique<engine::AdmissionController>(ctx_);
   arrival_ = std::make_unique<engine::ArrivalSource>(ctx_);
   dispatcher_ = std::make_unique<engine::Dispatcher>(ctx_);
@@ -149,7 +150,8 @@ void ClusterSimulation::replay_trace() {
   overload_->start();
   metrics_->start_sampling();
   sched_.run();
-  L2S_REQUIRE(admission_->drained());
+  // Every connection was closed or failed exactly once.
+  L2S_REQUIRE(admission_->drained() && conns_.live() == 0);
 }
 
 void ClusterSimulation::arm_faults(SimTime measure_start) {

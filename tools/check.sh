@@ -24,15 +24,18 @@
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#   9. AddressSanitizer build (build-asan/): all eight test binaries, the
-#      l2sim CLI and policy_comparison, and ctest runs every registered
-#      test once — the gtest suites, the cli.* smoke tests and every
-#      `l2sim study` (cli.study.*, label `study`, each at --scale 0.005
-#      on 2 threads; span-breakdown's passes only when its span
-#      reconstruction matches the engine). Continuations live in
-#      scheduler slots, resource slots and pooled VIA message and broadcast
-#      records, and replicas share server-set lists, so a lifetime bug
-#      could surface in any suite
+#   9. AddressSanitizer build (build-asan/, with _GLIBCXX_ASSERTIONS, so
+#      std::vector and std::array indexing is bounds-checked too): all eight
+#      test binaries, the l2sim CLI and policy_comparison, and ctest runs
+#      every registered test once — the gtest suites, the cli.* smoke tests
+#      and every `l2sim study` (cli.study.*, label `study`, each at --scale
+#      0.005 on 2 threads; span-breakdown's passes only when its span
+#      reconstruction matches the engine). Continuations live in scheduler
+#      slots, resource slots and pooled VIA message and broadcast records
+#      and name their connection by a handle into the connection pool's
+#      slots; the caches index files by slot arithmetic; replicas share
+#      server-set lists. A lifetime or indexing bug could surface in any
+#      suite
 #  10. ThreadSanitizer build (build-tsan/): the same full suite, once
 #      (run_parallel, the thread budget and the per-job telemetry merge are
 #      the threaded code; every study runs its simulations through
