@@ -1,8 +1,8 @@
-// DES event-kernel microbenchmark: the allocation-free InlineEvent +
-// 4-ary indexed heap kernel vs. the shape it replaced (std::function
-// events in a std::priority_queue binary heap).
+// DES event-kernel microbenchmark: the allocation-free InlineEvent kernel
+// (same-delay FIFO lanes in front of a 4-ary indexed heap) vs. the shape
+// it replaced (std::function events in a std::priority_queue binary heap).
 //
-// Three workloads modeled on what the trace replays actually schedule:
+// Four workloads modeled on what the trace replays actually schedule:
 //
 //  * open_loop — a self-rescheduling arrival pump driven far past the
 //    cluster's service capacity, the defining regime of an open-loop
@@ -19,13 +19,17 @@
 //    both kernels are fast and only the allocation savings show.
 //  * fan_out — every event spawns several children at jittered future
 //    times (broadcasts, failure injection), stressing heap width.
+//  * fixed_delay — the L2S broadcast storm: 95% of events carry one of
+//    the three fixed per-message costs (3,000, 6,128 and 1,000 ns), behind
+//    ~150 long-lived events at millisecond delays. Reported, not gated:
+//    it shows what the lanes take off the heap.
 //
 // The binary overrides global operator new/delete with counters, so the
 // JSON report (BENCH_des_kernel.json) carries events/sec, ns/event and
 // heap allocations per event for both kernels, plus the steady-state
 // allocation count for the new kernel (must be zero: acceptance gate).
 //
-// Usage: des_kernel_bench [--events N] [--out PATH]   (defaults: 2000000,
+// Usage: des_kernel_bench [--events N] [--out PATH]   (defaults: 6000000,
 // BENCH_des_kernel.json in the working directory). Exits non-zero if the
 // new kernel is slower than required (>= 2x on open_loop) or allocates in
 // steady state, so CI can gate on it.
@@ -184,6 +188,54 @@ struct FanOutWorkload {
   }
 };
 
+// Broadcast-shaped stream: every VIA message pays fixed CPU, NIC and
+// switch costs, so on L2S at 128 nodes 95% of the scheduled events carry
+// one of three delays (3,000 ns 38%, 6,128 ns 38%, 1,000 ns 19%) while the
+// pending set is mostly ~150 long-lived resource completions. Here
+// kStreams message chains draw those delays (and a wide random one 5% of
+// the time) behind kLongLived chains at 1-10 ms.
+template <class Sched>
+struct FixedDelayWorkload {
+  static constexpr int kLongLived = 150;
+  static constexpr int kStreams = 32;
+  Sched& s;
+  std::uint64_t budget = 0;
+  std::uint64_t sink = 0;
+  std::uint32_t rng = 0x13198A2Eu;
+
+  std::uint32_t next_u32() {
+    rng = rng * 1664525u + 1013904223u;
+    return rng;
+  }
+
+  void long_lived(std::uint64_t token) {
+    sink ^= token;
+    if (budget == 0) return;
+    --budget;
+    const auto delay = static_cast<SimTime>(1'000'000 + next_u32() % 9'000'000u);
+    s.after(delay, [this, token, delay] { long_lived(token + static_cast<std::uint64_t>(delay)); });
+  }
+
+  void message(std::uint64_t token) {
+    sink += token;
+    if (budget == 0) return;
+    --budget;
+    const std::uint32_t r = (next_u32() >> 8) % 100u;
+    const SimTime delay = r < 38   ? 3'000
+                          : r < 76 ? 6'128
+                          : r < 95 ? 1'000
+                                   : static_cast<SimTime>(1 + (next_u32() & 65535u));
+    s.after(delay, [this, token, delay] { message(token ^ static_cast<std::uint64_t>(delay)); });
+  }
+
+  void run(std::uint64_t events) {
+    budget = events;
+    for (int i = 0; i < kLongLived; ++i) long_lived(static_cast<std::uint64_t>(i));
+    for (int i = 0; i < kStreams; ++i) message(static_cast<std::uint64_t>(i));
+    s.run();
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Measurement harness.
 
@@ -238,7 +290,7 @@ Measurement measure(const char* workload_name, const char* kernel_name,
 }
 
 void print_row(const Measurement& m) {
-  std::printf("  %-10s %-7s %10llu events  %8.1f ns/event  %12.0f events/s  %.3f allocs/event\n",
+  std::printf("  %-15s %-7s %10llu events  %8.1f ns/event  %12.0f events/s  %.3f allocs/event\n",
               m.workload.c_str(), m.kernel.c_str(),
               static_cast<unsigned long long>(m.events), m.ns_per_event(),
               m.events_per_sec(), m.allocs_per_event());
@@ -308,6 +360,10 @@ int main(int argc, char** argv) {
                                                           fan_events, light_warmup));
   rows.push_back(measure<l2s::des::Scheduler, FanOutWorkload>("fan_out", "inline",
                                                               fan_events, light_warmup));
+  rows.push_back(measure<LegacyScheduler, FixedDelayWorkload>("fixed_delay", "legacy",
+                                                              fan_events, light_warmup));
+  rows.push_back(measure<l2s::des::Scheduler, FixedDelayWorkload>("fixed_delay", "inline",
+                                                                  fan_events, light_warmup));
   for (const auto& m : rows) print_row(m);
 
   auto events_per_sec = [&rows](const char* workload, const char* kernel) {
@@ -321,11 +377,13 @@ int main(int argc, char** argv) {
                                events_per_sec("open_loop_light", "legacy");
   const double fan_speedup =
       events_per_sec("fan_out", "inline") / events_per_sec("fan_out", "legacy");
+  const double fixed_speedup =
+      events_per_sec("fixed_delay", "inline") / events_per_sec("fixed_delay", "legacy");
   const std::uint64_t steady_allocs = rows[1].heap_allocs;
   std::printf(
-      "  speedup: open_loop %.2fx, open_loop_light %.2fx, fan_out %.2fx; "
+      "  speedup: open_loop %.2fx, open_loop_light %.2fx, fan_out %.2fx, fixed_delay %.2fx; "
       "inline open_loop steady-state allocs: %llu\n",
-      open_speedup, light_speedup, fan_speedup,
+      open_speedup, light_speedup, fan_speedup, fixed_speedup,
       static_cast<unsigned long long>(steady_allocs));
 
   const bool written = l2s::benchgate::write_report(out_path, [&](std::ostream& out) {
@@ -334,7 +392,8 @@ int main(int argc, char** argv) {
     out << "  ],\n"
         << "  \"speedup\": {\"open_loop\": " << open_speedup
         << ", \"open_loop_light\": " << light_speedup
-        << ", \"fan_out\": " << fan_speedup << "},\n"
+        << ", \"fan_out\": " << fan_speedup << ", \"fixed_delay\": " << fixed_speedup
+        << "},\n"
         << "  \"steady_state_allocs_inline_open_loop\": " << steady_allocs << ",\n"
         << "  \"pass\": {\"speedup_open_loop_ge_2x\": "
         << (open_speedup >= 2.0 ? "true" : "false")

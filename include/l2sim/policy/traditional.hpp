@@ -4,6 +4,9 @@
 // from its own cache/disk — no forwarding, no shared cache state.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "l2sim/policy/policy.hpp"
 
 namespace l2s::policy {
@@ -12,7 +15,7 @@ class TraditionalPolicy final : public Policy {
  public:
   [[nodiscard]] const char* name() const override { return "traditional"; }
 
-  void attach(const ClusterContext& ctx) override { ctx_ = ctx; }
+  void attach(const ClusterContext& ctx) override;
 
   [[nodiscard]] int entry_node(std::uint64_t seq, const trace::Request& r) override;
 
@@ -28,7 +31,7 @@ class TraditionalPolicy final : public Policy {
 
  private:
   ClusterContext ctx_;
-  std::vector<bool> down_;
+  std::vector<std::uint8_t> down_;  ///< 1 for a node the switch took out
 };
 
 }  // namespace l2s::policy

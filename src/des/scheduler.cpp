@@ -4,24 +4,33 @@
 
 namespace l2s::des {
 
-// Bottom-up (Wegener) sift-down: the key being sifted came from the last
-// heap position — almost always near-maximal — so instead of comparing it
-// at every level (a hard-to-predict branch), descend the min-child path to
-// a leaf unconditionally and then bubble the key back up. The descent does
-// only child-vs-child comparisons; the up-pass is short in expectation
+// Bottom-up (Wegener) sift-down of the last key from the root: the key
+// came from the last heap position — almost always near-maximal — so
+// instead of comparing it at every level, descend the min-child path to a
+// leaf unconditionally and then bubble the key back up. The descent picks
+// the earliest of four children by a two-round tournament of selects, so
+// it takes no data-dependent branch; the up-pass is short in expectation
 // because the key belongs near the bottom.
-void Scheduler::sift_down(std::size_t i) {
-  Key* const h = heap_.data();
+void Scheduler::pop_heap() {
+  const Key key = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
-  const Key key = h[i];
-  const std::size_t start = i;
+  if (n == 0) return;
+  Key* const h = heap_.data();
+  std::size_t i = 0;
   while (true) {
-    const std::size_t first_child = i * kArity + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + kArity, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c)
-      if (earlier(h[c], h[best])) best = c;
+    const std::size_t first = i * kArity + 1;
+    std::size_t best;
+    if (first + kArity <= n) {
+      const auto c = static_cast<unsigned>(first);
+      best = earlier_of(h, earlier_of(h, c, c + 1), earlier_of(h, c + 2, c + 3));
+    } else if (first < n) {
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c)
+        if (earlier(h[c], h[best])) best = c;
+    } else {
+      break;
+    }
     // Start pulling the next level's children while this level's copy
     // retires; at deep backlogs each level is uncached, and a group of
     // four 16-byte keys at index 4i+1 straddles two 64-byte lines.
@@ -32,7 +41,7 @@ void Scheduler::sift_down(std::size_t i) {
     h[i] = h[best];
     i = best;
   }
-  while (i > start) {
+  while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!earlier(key, h[parent])) break;
     h[i] = h[parent];
@@ -54,10 +63,33 @@ void Scheduler::grow() {
   capacity_ += size;
 }
 
+// A full ring doubles, its keys copied oldest first, so a lane stops
+// allocating once it has held its deepest backlog.
+void Scheduler::grow_lane(Lane& l) {
+  const std::uint32_t capacity = l.capacity == 0 ? 64 : 2 * l.capacity;
+  auto ring = std::make_unique<Key[]>(capacity);
+  for (std::uint32_t k = 0; k < l.count; ++k) ring[k] = l.ring[(l.head + k) & (l.capacity - 1)];
+  l.ring = std::move(ring);
+  l.capacity = capacity;
+  l.head = 0;
+}
+
+void Scheduler::clear_lanes() {
+  for (Lane& l : lanes_) {
+    l.head = 0;
+    l.count = 0;
+  }
+  heads_.fill(kIdle);
+  first_lane_ = 0;
+  delays_.fill(kNoDelay);
+  heap_delay_ = kNoDelay;
+}
+
 void Scheduler::reset() {
   L2S_REQUIRE(running_ == 0);
   for (std::uint32_t slot = 0; slot < used_; ++slot) slot_at(slot) = nullptr;
   heap_.clear();
+  clear_lanes();
   free_slots_.clear();
   used_ = 0;
   now_ = 0;

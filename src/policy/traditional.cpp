@@ -1,29 +1,34 @@
 #include "l2sim/policy/traditional.hpp"
 
+#include <limits>
+
 namespace l2s::policy {
 
-int TraditionalPolicy::entry_node(std::uint64_t /*seq*/, const trace::Request& /*r*/) {
-  if (down_.size() != static_cast<std::size_t>(ctx_.node_count()))
-    down_.assign(static_cast<std::size_t>(ctx_.node_count()), false);
-  int best = -1;
-  for (int n = 0; n < ctx_.node_count(); ++n) {
-    if (down_[static_cast<std::size_t>(n)]) continue;
-    if (best < 0 || ctx_.node(n).open_connections() < ctx_.node(best).open_connections())
-      best = n;
-  }
-  return best < 0 ? 0 : best;  // all down: requests will fail at the node
+void TraditionalPolicy::attach(const ClusterContext& ctx) {
+  ctx_ = ctx;
+  down_.assign(ctx_.nodes.size(), 0);
 }
 
-void TraditionalPolicy::on_node_failed(int node) {
-  if (down_.size() != static_cast<std::size_t>(ctx_.node_count()))
-    down_.assign(static_cast<std::size_t>(ctx_.node_count()), false);
-  down_[static_cast<std::size_t>(node)] = true;
+int TraditionalPolicy::entry_node(std::uint64_t /*seq*/, const trace::Request& /*r*/) {
+  // One pass: a down node counts as infinitely loaded, and a strict `<`
+  // keeps the lowest index on ties.
+  int best = 0;  // all down: requests will fail at node 0
+  int best_load = std::numeric_limits<int>::max();
+  for (std::size_t n = 0; n < ctx_.nodes.size(); ++n) {
+    const int load =
+        down_[n] != 0 ? std::numeric_limits<int>::max() : ctx_.nodes[n]->open_connections();
+    if (load < best_load) {
+      best = static_cast<int>(n);
+      best_load = load;
+    }
+  }
+  return best;
 }
+
+void TraditionalPolicy::on_node_failed(int node) { down_[static_cast<std::size_t>(node)] = 1; }
 
 void TraditionalPolicy::on_node_recovered(int node) {
-  if (down_.size() != static_cast<std::size_t>(ctx_.node_count()))
-    down_.assign(static_cast<std::size_t>(ctx_.node_count()), false);
-  down_[static_cast<std::size_t>(node)] = false;
+  down_[static_cast<std::size_t>(node)] = 0;
 }
 
 int TraditionalPolicy::select_service_node(int entry, const trace::Request& /*r*/) {

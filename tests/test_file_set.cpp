@@ -33,7 +33,7 @@ TEST(FileSet, RejectsZeroSizeAndBadIds) {
   FileSet fs;
   EXPECT_THROW(fs.add(0), l2s::Error);
   fs.add(10);
-  EXPECT_THROW(fs.size_of(5), l2s::Error);
+  EXPECT_THROW((void)fs.size_of(5), l2s::Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -301,6 +302,195 @@ TEST(Scheduler, ZeroDelaySelfScheduleRunsAtSameTime) {
   s.run();
   // The zero-delay event was submitted later, so it fires after event 3.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+// --- the two-tier queue: FIFO lanes for recurring delays, heap for the rest
+
+/// Fired ids must be a prefix of the scheduled events stably sorted by
+/// time: every event is scheduled at or after now(), so whatever has fired
+/// so far precedes, in (time, seq) order, whatever is still pending.
+void expect_sorted_prefix(const std::vector<std::pair<SimTime, int>>& scheduled,
+                          const std::vector<int>& fired, int trial) {
+  auto expected = scheduled;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_LE(fired.size(), expected.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < fired.size(); ++i)
+    ASSERT_EQ(fired[i], expected[i].second) << "trial " << trial << " pos " << i;
+}
+
+// Property test for the lanes: schedules that mix a few recurring delays
+// (which take lanes, drain them and hand them to the next phase's delays)
+// with zero and wide random delays (which stay in the heap), handlers that
+// schedule more events, run_until stops, a reset() with events pending and
+// handlers that throw. The fire order must be the stable (time, seq) sort
+// of what was scheduled, and pending()/empty() must count every event.
+TEST(Scheduler, TwoTierRandomScheduleMatchesSortedReference) {
+  struct Boom {};
+  std::mt19937 gen(20000801);
+  for (int trial = 0; trial < 40; ++trial) {
+    Scheduler s;
+    std::vector<std::pair<SimTime, int>> scheduled;  // this segment, in submission order
+    std::vector<int> fired;
+    int next_id = 0;
+    // Twelve candidate recurring delays, more than there are lanes; each
+    // phase draws three of them.
+    const std::array<SimTime, 12> pool{1, 3, 7, 50, 1000, 3000, 6128, 6129, 9000,
+                                       12000, 40000, 250000};
+    std::array<SimTime, 3> recurring{};
+    auto new_phase = [&] {
+      for (auto& d : recurring) d = pool[gen() % pool.size()];
+    };
+    new_phase();
+
+    std::function<void(SimTime)> schedule;
+    auto draw_delay = [&]() -> SimTime {
+      const auto r = static_cast<unsigned>(gen() % 20);
+      if (r < 12) return recurring[r % recurring.size()];
+      if (r < 14) return 0;
+      return static_cast<SimTime>(gen() % 1'000'000);
+    };
+    schedule = [&](SimTime delay) {
+      const int id = next_id++;
+      // Some handlers schedule a child of their own; a few throw.
+      const auto kind = static_cast<unsigned>(gen() % 100);
+      auto handler = [&, id, kind] {
+        fired.push_back(id);
+        if (kind < 15) schedule(draw_delay());
+        if (kind == 99) throw Boom{};
+      };
+      if ((gen() & 1u) != 0u) {
+        s.at(s.now() + delay, handler);
+      } else {
+        s.after(delay, handler);
+      }
+      scheduled.emplace_back(s.now() + delay, id);
+    };
+    auto run_to_end = [&] {
+      while (true) {
+        try {
+          s.run();
+          return;
+        } catch (const Boom&) {
+        }
+      }
+    };
+
+    const int ops = 600 + static_cast<int>(gen() % 600);
+    for (int op = 0; op < ops; ++op) {
+      const auto r = static_cast<unsigned>(gen() % 100);
+      if (r < 70) {
+        // Bursts of one delay, like a broadcast's per-message costs.
+        const SimTime delay = draw_delay();
+        const int burst = 1 + static_cast<int>(gen() % 4);
+        for (int b = 0; b < burst; ++b) schedule(delay);
+      } else if (r < 92) {
+        try {
+          s.run_until(s.now() + static_cast<SimTime>(gen() % 20000));
+        } catch (const Boom&) {
+        }
+      } else if (r < 98) {
+        new_phase();
+      } else {
+        expect_sorted_prefix(scheduled, fired, trial);
+        if (::testing::Test::HasFatalFailure()) return;
+        s.reset();
+        EXPECT_EQ(s.pending(), 0u);
+        EXPECT_TRUE(s.empty());
+        scheduled.clear();
+        fired.clear();
+      }
+      ASSERT_EQ(s.pending(), scheduled.size() - fired.size()) << "trial " << trial;
+      ASSERT_EQ(s.empty(), scheduled.size() == fired.size()) << "trial " << trial;
+    }
+    run_to_end();
+    ASSERT_EQ(fired.size(), scheduled.size()) << "trial " << trial;
+    expect_sorted_prefix(scheduled, fired, trial);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(s.empty());
+  }
+}
+
+// More recurring delays than lanes: twelve delays arrive in bursts, so
+// each claims a lane while one is idle and the rest share the heap. Every
+// event still fires in (time, seq) order, and pending()/empty() count the
+// events of both tiers, including a lane's queued keys behind its head.
+TEST(Scheduler, MoreRecurringDelaysThanLanesKeepOrderAndCount) {
+  Scheduler s;
+  std::vector<std::pair<SimTime, int>> scheduled;
+  std::vector<int> fired;
+  int next_id = 0;
+  auto schedule = [&](SimTime delay) {
+    const int id = next_id++;
+    s.after(delay, [id, &fired] { fired.push_back(id); });
+    scheduled.emplace_back(s.now() + delay, id);
+  };
+  // A burst of one delay: the first key reaches the heap, the second
+  // claims an idle lane, the rest queue behind it.
+  for (int k = 0; k < 5; ++k) schedule(400);
+  EXPECT_EQ(s.pending(), 5u);
+  EXPECT_FALSE(s.empty());
+  for (int round = 0; round < 30; ++round) {
+    for (SimTime d = 1; d <= 12; ++d)
+      for (int k = 0; k < 3; ++k) schedule(d * 97 + round % 5);
+    EXPECT_EQ(s.pending(), scheduled.size() - fired.size());
+    s.run_until(s.now() + 300);
+    EXPECT_EQ(s.pending(), scheduled.size() - fired.size());
+    EXPECT_EQ(s.empty(), scheduled.size() == fired.size());
+  }
+  while (s.step()) EXPECT_EQ(s.pending(), scheduled.size() - fired.size());
+  EXPECT_TRUE(s.empty());
+  ASSERT_EQ(fired.size(), scheduled.size());
+  expect_sorted_prefix(scheduled, fired, 0);
+}
+
+// A lane changes delay only while empty: with every lane busy holding a
+// long delay, a short delay that recurs stays in the heap, and its events
+// still fire first, in submission order.
+TEST(Scheduler, LaneOwnershipChangesOnlyWhenIdle) {
+  Scheduler s;
+  std::vector<int> order;
+  // Fill every lane with a long delay (two in a row each, then more).
+  for (SimTime d = 0; d < 8; ++d)
+    for (int k = 0; k < 3; ++k)
+      s.after(10'000 + d, [&order, d] { order.push_back(static_cast<int>(d)); });
+  // A short delay now recurs at the heap with no idle lane: its events
+  // must still fire first, in submission order.
+  for (int k = 0; k < 4; ++k) s.after(5, [&order, k] { order.push_back(100 + k); });
+  EXPECT_EQ(s.pending(), 28u);
+  s.run_until(9'000);
+  EXPECT_EQ(order, (std::vector<int>{100, 101, 102, 103}));
+  s.run();
+  ASSERT_EQ(order.size(), 28u);
+  for (std::size_t i = 4; i < order.size(); ++i)
+    EXPECT_EQ(order[i], static_cast<int>((i - 4) / 3)) << "pos " << i;
+}
+
+// A throw while building the callable leaves the queue as it was, in
+// either tier, and the next events keep their order.
+TEST(Scheduler, ThrowingConstructionLeavesTheQueueUnchanged) {
+  struct ThrowOnCopy {
+    bool armed = true;
+    ThrowOnCopy() = default;
+    ThrowOnCopy(const ThrowOnCopy& other) : armed(other.armed) {
+      if (armed) throw std::runtime_error("copy failed");
+    }
+    void operator()() const {}
+  };
+  Scheduler s;
+  std::vector<int> order;
+  for (int k = 0; k < 3; ++k) s.after(7, [&order, k] { order.push_back(k); });  // a lane
+  s.after(20, [&order] { order.push_back(10); });                               // the heap
+  const ThrowOnCopy bad;
+  EXPECT_THROW(s.after(7, bad), std::runtime_error);
+  EXPECT_THROW(s.after(3, bad), std::runtime_error);
+  EXPECT_THROW(s.after(3, bad), std::runtime_error);
+  EXPECT_EQ(s.pending(), 4u);
+  s.after(7, [&order] { order.push_back(3); });
+  s.after(3, [&order] { order.push_back(-1); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 10}));
+  EXPECT_EQ(s.events_processed(), 6u);
 }
 
 }  // namespace
