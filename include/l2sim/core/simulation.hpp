@@ -72,6 +72,8 @@ class ClusterSimulation {
   [[nodiscard]] des::Scheduler& scheduler() { return sched_; }
   /// The interconnect the run was built on (never null).
   [[nodiscard]] net::Topology& topology() { return *topo_; }
+  /// The VIA messaging layer over that interconnect.
+  [[nodiscard]] net::ViaNetwork& via() { return via_; }
   /// The flow-level bulk network (null unless config.topology.flow_level).
   [[nodiscard]] net::FlowNetwork* flow_network() { return flow_.get(); }
   [[nodiscard]] const SimConfig& config() const { return config_; }

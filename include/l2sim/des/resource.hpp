@@ -5,10 +5,13 @@
 // A queue entry is a run: k jobs with one service time and one step
 // callable that fires after each of them. A plain submit is a run of one
 // whose step is its continuation. A run lets an owner queue k identical
-// jobs (a broadcast's N-1 sends) as one entry; every job still completes
-// at the time it would as a single submit, and queue_length(),
-// jobs_completed() and busy_time() count jobs, not entries. A run its
-// owner tagged can grow by one job while it is the resource's tail.
+// jobs (a broadcast's N-1 sends, or the deliveries waiting in a
+// receiver's inbox) as one entry; every job still completes at the time
+// it would as a single submit, and queue_length(), jobs_completed() and
+// busy_time() count jobs, not entries. A run its owner tagged can grow by
+// one job of its own service time while it is the resource's tail. Runs
+// that share a tag must have interchangeable steps: extend() grows
+// whichever of them is the tail.
 //
 // The resource owns the entry in service: its step and service time sit
 // in a member slot and the completion event captures only `this`, so the
@@ -43,14 +46,16 @@ class Resource {
   /// fires after each of them. The next job's completion is scheduled
   /// before the step fires, so a step that submits here queues behind the
   /// rest of the run. While the run is the tail of this resource (queued
-  /// or in service) extend(tag) adds a job to it, unless `tag` is kNoTag.
-  /// The owner must not reuse a tag while a run carrying it is queued.
+  /// or in service) extend(tag, service) adds a job to it, unless `tag` is
+  /// kNoTag. A tag names a kind of step: runs carrying one tag must have
+  /// steps that may fire in each other's place.
   void submit_run(SimTime service, std::uint32_t jobs, EventFn step,
                   std::uint32_t tag = kNoTag);
 
-  /// Add one job to the tail entry if it is a run tagged `tag` (queued or
-  /// in service). Returns false, changing nothing, otherwise.
-  bool extend(std::uint32_t tag);
+  /// Add one job to the tail entry if it is a run tagged `tag` whose jobs
+  /// need `service` time (queued or in service). Returns false, changing
+  /// nothing, otherwise.
+  bool extend(std::uint32_t tag, SimTime service);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool busy() const { return busy_; }
@@ -59,6 +64,9 @@ class Resource {
     return queue_.size() + static_cast<std::size_t>(run_jobs_waiting_);
   }
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_; }
+  /// The most entries (runs, whatever their job counts) that ever waited
+  /// behind the one in service; reset_stats() leaves it alone.
+  [[nodiscard]] std::size_t peak_queue_entries() const { return peak_entries_; }
   [[nodiscard]] SimTime busy_time() const { return busy_time_; }
 
   /// Fraction of [0, elapsed] the server was busy.
@@ -77,6 +85,7 @@ class Resource {
   };
 
   void start(SimTime service, std::uint32_t more, std::uint32_t tag, EventFn&& step);
+  void enqueue(Job&& job);
   void complete();
   void next_in_run();  ///< complete()'s path for a run with jobs left
 
@@ -89,6 +98,7 @@ class Resource {
   /// of every queued run and of the one in service. queue_length() adds
   /// the entries themselves.
   std::uint64_t run_jobs_waiting_ = 0;
+  std::size_t peak_entries_ = 0;
   SimTime busy_time_ = 0;
   std::uint64_t jobs_ = 0;
 };

@@ -10,19 +10,25 @@
 // one charged along its own topology path, so a cross-rack destination
 // pays its real hop count.
 //
-// Every message past the sender lives in a record of the network's
-// message pool (continuation, endpoints, size, NIC time, fault decisions),
-// and each hop schedules only `[this, id]`. A broadcast takes one record
-// of the broadcast pool (handler, source, size, NIC time, live-message
-// count) and queues its N-1 sends as one run on the sender's CPU. A
-// message with a healthy fault draw then joins the broadcast's run at the
-// tail of the sender's NIC-tx queue and takes its message record only as
-// it leaves the NIC; a dropped, duplicated or delayed one leaves that run
-// and travels alone. Both pools grow in fixed-size chunks threaded on a
-// free list, so a record never moves while it is in use.
+// Every unicast message past the sender lives in a record of the
+// network's message pool (continuation, endpoints, size, NIC time, fault
+// decisions), and each hop schedules only `[this, id]`. A broadcast takes
+// one record of the broadcast pool (handler, source, size, NIC time,
+// live-message count) and no message record at all: each of its messages
+// is the pair (broadcast, destination). The N-1 sends queue as one run on
+// the sender's CPU; a message with a healthy fault draw joins the
+// broadcast's run at the tail of the sender's NIC-tx queue, and a
+// dropped, duplicated or delayed one leaves that run and takes a NIC job
+// of its own. The topology hop captures (broadcast, destination, fault
+// draw). On arrival the broadcast id joins the receiver's inbox, a FIFO
+// of 4-byte ids, and the receiver's rx NIC and then its CPU each hold
+// delivery runs whose last stage pops the inbox: a waiting delivery costs
+// 4 bytes, not a queue entry. Both pools grow in fixed-size chunks
+// threaded on a free list, so a record never moves while it is in use.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -111,8 +117,10 @@ class ViaNetwork {
   }
   [[nodiscard]] int endpoints() const { return static_cast<int>(endpoints_.size()); }
   /// Message records the pool holds, free or in flight: a multiple of the
-  /// chunk size, never shrinking.
+  /// chunk size, never shrinking. Only unicast messages take records.
   [[nodiscard]] std::size_t message_pool_capacity() const { return message_pool_.capacity(); }
+  /// Message records in flight.
+  [[nodiscard]] std::size_t message_records_in_use() const { return message_pool_.in_use(); }
 
   /// Zero every counter, including the fault-layer ones. (This used to
   /// clear only messages_, which made warm-up drops bleed into measured
@@ -144,29 +152,36 @@ class ViaNetwork {
       T& r = (*this)[id];
       r.next_free = free_head_;
       free_head_ = id;
+      --in_use_;
     }
     [[nodiscard]] T& operator[](std::uint32_t id) {
       return chunks_[id >> kChunkBits][id & (kChunkSize - 1)];
     }
     [[nodiscard]] std::size_t capacity() const { return chunks_.size() * kChunkSize; }
+    [[nodiscard]] std::size_t in_use() const { return in_use_; }
 
    private:
     static constexpr std::uint32_t kChunkBits = 10;
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
     std::vector<std::unique_ptr<T[]>> chunks_;
     std::uint32_t free_head_ = kNoRecord;
+    std::size_t in_use_ = 0;
   };
 
-  /// One message past the sender: everything its remaining hops need.
+  /// The tag of every delivery run on a receiver's rx NIC and CPU. The
+  /// sender NIC's runs carry broadcast record id + 1, always below it.
+  static constexpr std::uint32_t kDeliveryTag = ~std::uint32_t{0};
+
+  /// One unicast message past the sender: everything its remaining hops
+  /// need.
   struct Message {
-    des::EventFn done;        ///< continuation, unless it is a broadcast's
+    des::EventFn done;        ///< continuation
     SimTime xfer = 0;         ///< NIC service time, paid at both ends
     SimTime extra_delay = 0;  ///< fault-injected delay before the rx NIC
     Bytes bytes = 0;
     int src = 0;
     int dst = 0;
     std::uint32_t next_free = 0;  ///< free-list link while unused
-    std::uint32_t broadcast = kNoRecord;  ///< the broadcast it belongs to
     Kind kind = Kind::kWire;
     bool duplicate = false;   ///< fault-injected copy burns rx NIC time
   };
@@ -193,7 +208,7 @@ class ViaNetwork {
   /// transfer, its caller) and consult the fault oracle for it.
   [[nodiscard]] LinkFault draw(int src, int dst);
 
-  // The hops of one message, in order.
+  // The hops of one unicast message, in order.
   void launch(std::uint32_t id);     ///< fault oracle, then depart
   void depart(std::uint32_t id, const LinkFault& fault);  ///< tx NIC or flow
   void traverse(std::uint32_t id);   ///< topology path after the tx NIC
@@ -201,21 +216,26 @@ class ViaNetwork {
   void arrive(std::uint32_t id);     ///< rx NIC (plus a duplicate copy)
   void received(std::uint32_t id);   ///< receiver CPU or `done` directly
 
-  // The sender side of broadcast `b`'s message to `dst`, then its delivery.
+  // The hops of broadcast `b`'s message to `dst`, in order.
   /// A run's step: job i passes `hop` the broadcast's i-th destination
   /// from `first` on (every endpoint but the source, in id order).
   template <void (ViaNetwork::*hop)(std::uint32_t, int)>
   [[nodiscard]] des::EventFn walk(std::uint32_t b, int first);
   void leave_cpu(std::uint32_t b, int dst);  ///< fault oracle, then tx NIC
-  void leave_nic(std::uint32_t b, int dst);  ///< takes the message record
-  [[nodiscard]] std::uint32_t acquire_message(std::uint32_t b, int dst);
-  void deliver(std::uint32_t b, int dst);
+  void leave_nic(std::uint32_t b, int dst);  ///< a healthy message's NIC run step
+  void cross(std::uint32_t b, int dst, const LinkFault& fault);  ///< topology path, fault delay
+  void land(std::uint32_t b, int dst, bool duplicate);  ///< inbox, rx NIC delivery run
+  void to_cpu(int dst);    ///< rx NIC delivery step: CPU delivery run
+  void deliver(int dst);   ///< CPU delivery step: pops the inbox, runs the handler
   void settle(std::uint32_t b);  ///< one message done; the last frees `b`
 
   des::Scheduler& sched_;
   Topology& topo_;
   const NetParams& params_;
   std::vector<Endpoint> endpoints_;
+  /// Per endpoint, the broadcasts whose messages reached it and wait in
+  /// its rx NIC or CPU, in arrival order.
+  std::vector<std::deque<std::uint32_t>> inboxes_;
   Pool<Message> message_pool_;
   Pool<Broadcast> broadcast_pool_;
   LinkFaultModel* fault_model_ = nullptr;

@@ -86,7 +86,6 @@ class L2sPolicy final : public Policy {
   struct NodeState {
     cluster::LoadView view{1};
     cluster::BroadcastThrottle throttle{4};
-    ServerSetMap sets;
   };
 
   void maybe_broadcast_load(int node);
@@ -105,6 +104,7 @@ class L2sPolicy final : public Policy {
   L2sParams params_;
   ClusterContext ctx_;
   std::vector<NodeState> states_;
+  ServerSetMap sets_;  ///< replica n is node n's copy of the server sets
   std::vector<int> all_nodes_;
   std::vector<int> alive_entries_;  ///< DNS rotation after failures (empty = all)
   std::uint64_t rng_state_ = 0x2545f4914f6cdd1dULL;

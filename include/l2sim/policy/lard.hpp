@@ -92,7 +92,7 @@ class LardPolicy final : public Policy {
   LardParams params_;
   ClusterContext ctx_;
   cluster::LoadView view_{1};
-  ServerSetMap sets_;
+  ServerSetMap sets_;  ///< one replica, 0: the front end's table
   std::vector<int> completions_since_update_;
   SimTime shrink_ns_ = 0;
   int front_end_ = 0;

@@ -51,7 +51,7 @@ class LardDispatcherPolicy final : public Policy {
   LardParams params_;
   ClusterContext ctx_;
   cluster::LoadView view_{1};
-  ServerSetMap sets_;
+  ServerSetMap sets_;  ///< one replica, 0: the dispatcher's table
   std::vector<int> completions_since_update_;
   std::vector<bool> down_;
   SimTime shrink_ns_ = 0;

@@ -14,7 +14,7 @@ void Resource::submit(SimTime service, EventFn done) {
     start(service, 0, kNoTag, std::move(done));
     return;
   }
-  queue_.push_back(Job{service, 0, kNoTag, std::move(done)});
+  enqueue(Job{service, 0, kNoTag, std::move(done)});
 }
 
 void Resource::submit_run(SimTime service, std::uint32_t jobs, EventFn step,
@@ -26,19 +26,19 @@ void Resource::submit_run(SimTime service, std::uint32_t jobs, EventFn step,
     start(service, jobs - 1, tag, std::move(step));
     return;
   }
-  queue_.push_back(Job{service, jobs - 1, tag, std::move(step)});
+  enqueue(Job{service, jobs - 1, tag, std::move(step)});
 }
 
-bool Resource::extend(std::uint32_t tag) {
+void Resource::enqueue(Job&& job) {
+  queue_.push_back(std::move(job));
+  if (queue_.size() > peak_entries_) peak_entries_ = queue_.size();
+}
+
+bool Resource::extend(std::uint32_t tag, SimTime service) {
   L2S_REQUIRE(tag != kNoTag);
-  if (!queue_.empty()) {
-    Job& tail = queue_.back();
-    if (tail.tag != tag) return false;
-    ++tail.more;
-  } else {
-    if (!busy_ || in_service_.tag != tag) return false;
-    ++in_service_.more;
-  }
+  Job* tail = !queue_.empty() ? &queue_.back() : busy_ ? &in_service_ : nullptr;
+  if (tail == nullptr || tail->tag != tag || tail->service != service) return false;
+  ++tail->more;
   ++run_jobs_waiting_;
   return true;
 }

@@ -30,6 +30,7 @@ std::uint32_t ViaNetwork::Pool<T>::acquire() {
   }
   const std::uint32_t id = free_head_;
   free_head_ = (*this)[id].next_free;
+  ++in_use_;
   return id;
 }
 
@@ -40,6 +41,7 @@ ViaNetwork::ViaNetwork(des::Scheduler& sched, Topology& topology,
 int ViaNetwork::add_endpoint(Endpoint ep) {
   L2S_REQUIRE(ep.cpu != nullptr && ep.nic != nullptr);
   endpoints_.push_back(ep);
+  inboxes_.emplace_back();
   return static_cast<int>(endpoints_.size()) - 1;
 }
 
@@ -57,7 +59,6 @@ std::uint32_t ViaNetwork::acquire(int src, int dst, Bytes bytes, Kind kind,
   m.bytes = bytes;
   m.src = src;
   m.dst = dst;
-  m.broadcast = kNoRecord;
   m.kind = kind;
   return id;
 }
@@ -159,28 +160,59 @@ void ViaNetwork::leave_cpu(std::uint32_t b, int dst) {
     return;
   }
   if (fault.duplicate || fault.extra_delay > 0) {
-    // It travels alone, its record taken now; the NIC run breaks here.
-    depart(acquire_message(b, dst), fault);
+    // It travels alone; the NIC run breaks here.
+    tx.submit(r.xfer, [this, b, dst, fault]() { cross(b, dst, fault); });
     return;
   }
   // A healthy message joins its broadcast's run at the tail of the NIC
   // queue, or starts one there. The tag is free again only once the
   // broadcast's last message is settled, long after its runs are gone.
   const std::uint32_t tag = b + 1;
-  if (!tx.extend(tag)) tx.submit_run(r.xfer, 1, walk<&ViaNetwork::leave_nic>(b, dst), tag);
+  if (!tx.extend(tag, r.xfer))
+    tx.submit_run(r.xfer, 1, walk<&ViaNetwork::leave_nic>(b, dst), tag);
 }
 
-void ViaNetwork::leave_nic(std::uint32_t b, int dst) { traverse(acquire_message(b, dst)); }
+void ViaNetwork::leave_nic(std::uint32_t b, int dst) { cross(b, dst, LinkFault{}); }
 
-std::uint32_t ViaNetwork::acquire_message(std::uint32_t b, int dst) {
+void ViaNetwork::cross(std::uint32_t b, int dst, const LinkFault& fault) {
   const Broadcast& r = broadcast_pool_[b];
-  const std::uint32_t id = acquire(r.src, dst, r.bytes, Kind::kSend, nullptr);
-  Message& m = message(id);
-  m.broadcast = b;
-  m.xfer = r.xfer;
-  m.duplicate = false;
-  m.extra_delay = 0;
-  return id;
+  topo_.traverse(r.src, dst, r.bytes, [this, b, dst, fault]() {
+    if (fault.extra_delay > 0) {
+      sched_.after(fault.extra_delay,
+                   [this, b, dst, dup = fault.duplicate]() { land(b, dst, dup); });
+      return;
+    }
+    land(b, dst, fault.duplicate);
+  });
+}
+
+void ViaNetwork::land(std::uint32_t b, int dst, bool duplicate) {
+  ++delivered_;
+  inboxes_[static_cast<std::size_t>(dst)].push_back(b);
+  // Every delivery run's step is the same, so any tail run may take the
+  // job; the rx NIC and CPU are FIFO, so the CPU pops ids in push order.
+  const SimTime xfer = broadcast_pool_[b].xfer;
+  des::Resource& rx = endpoints_[static_cast<std::size_t>(dst)].nic->rx();
+  if (!rx.extend(kDeliveryTag, xfer))
+    rx.submit_run(xfer, 1, [this, dst]() { to_cpu(dst); }, kDeliveryTag);
+  // Receiver-side dedup: the copy costs NIC time, nothing fires.
+  if (duplicate) rx.submit(xfer, []() {});
+}
+
+void ViaNetwork::to_cpu(int dst) {
+  des::Resource& cpu = *endpoints_[static_cast<std::size_t>(dst)].cpu;
+  const SimTime service = params_.cpu_msg_time();
+  if (!cpu.extend(kDeliveryTag, service))
+    cpu.submit_run(service, 1, [this, dst]() { deliver(dst); }, kDeliveryTag);
+}
+
+void ViaNetwork::deliver(int dst) {
+  auto& inbox = inboxes_[static_cast<std::size_t>(dst)];
+  const std::uint32_t b = inbox.front();
+  inbox.pop_front();
+  // The handler may broadcast, taking records; this one stays put.
+  broadcast_pool_[b].on_delivered(dst);
+  settle(b);
 }
 
 void ViaNetwork::traverse(std::uint32_t id) {
@@ -215,13 +247,6 @@ void ViaNetwork::received(std::uint32_t id) {
   Message& m = message(id);
   des::Resource* cpu =
       m.kind == Kind::kSend ? endpoints_[static_cast<std::size_t>(m.dst)].cpu : nullptr;
-  if (m.broadcast != kNoRecord) {
-    const std::uint32_t b = m.broadcast;
-    const int dst = m.dst;
-    release(id);
-    cpu->submit(params_.cpu_msg_time(), [this, b, dst]() { deliver(b, dst); });
-    return;
-  }
   des::EventFn done = std::move(m.done);
   release(id);
   // The receiver CPU, when owed, takes over the continuation.
@@ -230,12 +255,6 @@ void ViaNetwork::received(std::uint32_t id) {
     return;
   }
   done();
-}
-
-void ViaNetwork::deliver(std::uint32_t b, int dst) {
-  // The handler may broadcast, taking records; this one stays put.
-  broadcast_pool_[b].on_delivered(dst);
-  settle(b);
 }
 
 void ViaNetwork::settle(std::uint32_t b) {

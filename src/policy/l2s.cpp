@@ -22,6 +22,7 @@ L2sPolicy::L2sPolicy(L2sParams params) : params_(params) {
 void L2sPolicy::attach(const ClusterContext& ctx) {
   ctx_ = ctx;
   states_.clear();
+  sets_ = ServerSetMap(ctx.node_count());
   all_nodes_.clear();
   for (int n = 0; n < ctx.node_count(); ++n) {
     NodeState& st = states_.emplace_back();
@@ -56,7 +57,7 @@ void L2sPolicy::on_node_recovered(int node) {
   // gone. The rejoin handshake hands it only the current membership — any
   // still-dead peers stay marked — and everything else is re-learned.
   NodeState& st = state(node);
-  st.sets.clear();
+  sets_.clear(node);
   st.view = cluster::LoadView(ctx_.node_count());
   st.throttle = cluster::BroadcastThrottle(params_.broadcast_delta);
   if (!alive_entries_.empty()) {
@@ -121,13 +122,13 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
 
   int chosen;
   bool set_changed = false;
-  const std::vector<int>& set = me.sets.members(file);
+  const std::vector<int>& set = sets_.members(entry, file);
   if (set.empty()) {
     // First request for this file (as far as this node knows): service it
     // here unless overloaded, in which case the least-loaded node starts
     // the server set.
     chosen = me.view.get(entry) <= T ? entry : pick_low_all(me.view);
-    me.sets.add(file, chosen, now);
+    sets_.add(entry, file, chosen, now);
     set_changed = true;
     ++counters_.set_create;
   } else {
@@ -154,9 +155,9 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
       const int spare_threshold = (params_.underload_threshold + T) / 2;
       const bool worth_growing = me.view.get(spare) < spare_threshold ||
                                  me.view.get(least_member) >= 2 * T;
-      if (worth_growing && !me.sets.contains(file, spare)) {
+      if (worth_growing && !sets_.contains(entry, file, spare)) {
         chosen = spare;
-        me.sets.add(file, chosen, now);
+        sets_.add(entry, file, chosen, now);
         set_changed = true;
         ++counters_.set_grow;
       } else {
@@ -167,10 +168,10 @@ int L2sPolicy::select_service_node(int entry, const trace::Request& r) {
     // Periodic shrink: the server chosen is underloaded, the set is
     // replicated, and the set has been stable for a while.
     if (!set_changed && set.size() > 1 && me.view.get(chosen) < params_.underload_threshold &&
-        now - me.sets.last_modified(file) > shrink_ns_) {
+        now - sets_.last_modified(entry, file) > shrink_ns_) {
       const int victim = me.view.most_loaded_of(set);
       if (victim != chosen) {
-        me.sets.remove(file, victim, now);
+        sets_.remove(entry, file, victim, now);
         set_changed = true;
         ++counters_.set_shrink;
       }
@@ -217,15 +218,15 @@ void L2sPolicy::broadcast_set_change(int origin, storage::FileId file) {
   // The new membership is immutable: every receiver adopts the origin's
   // own list on delivery, and a later change anywhere builds a new one.
   ctx_.via->broadcast(origin, ctx_.control_msg_bytes,
-                      [this, file, members = state(origin).sets.shared_members(file)](int dst) {
-                        state(dst).sets.adopt(file, members, ctx_.sched->now());
+                      [this, file, members = sets_.share(origin, file)](int dst) {
+                        sets_.adopt(dst, file, members, ctx_.sched->now());
                       });
 }
 
 int L2sPolicy::view_of(int owner, int target) const { return state(owner).view.get(target); }
 
 const std::vector<int>& L2sPolicy::server_set_of(int owner, storage::FileId file) const {
-  return state(owner).sets.members(file);
+  return sets_.members(owner, file);
 }
 
 }  // namespace l2s::policy

@@ -58,10 +58,10 @@ int LardDispatcherPolicy::decide(const trace::Request& r) {
   const storage::FileId file = r.file;
 
   int chosen;
-  const std::vector<int>& set = sets_.members(file);
+  const std::vector<int>& set = sets_.members(0, file);
   if (set.empty()) {
     chosen = least_loaded_server();
-    sets_.add(file, chosen, now);
+    sets_.add(0, file, chosen, now);
     ++counters_.set_create;
   } else {
     chosen = view_.least_loaded_of(set);
@@ -70,15 +70,15 @@ int LardDispatcherPolicy::decide(const trace::Request& r) {
         view_.get(chosen) >= 2 * params_.t_high;
     if (overloaded) {
       const int extra = least_loaded_server();
-      if (!sets_.contains(file, extra)) {
-        sets_.add(file, extra, now);
+      if (!sets_.contains(0, file, extra)) {
+        sets_.add(0, file, extra, now);
         ++counters_.set_grow;
       }
       chosen = extra;
-    } else if (set.size() > 1 && now - sets_.last_modified(file) > shrink_ns_) {
+    } else if (set.size() > 1 && now - sets_.last_modified(0, file) > shrink_ns_) {
       const int victim = view_.most_loaded_of(set);
       if (victim != chosen) {
-        sets_.remove(file, victim, now);
+        sets_.remove(0, file, victim, now);
         ++counters_.set_shrink;
       }
     }

@@ -1,8 +1,9 @@
 // Large-N sanity net (ctest -L largen): a 256-node cluster at heavy
 // traffic, driven through the DES kernel, checked against the
 // M/M/infinity ranked-servers asymptotics (Eschenfeldt, Gross & Pippenger;
-// see PAPERS.md), and a 256-node L2S cluster pinned through its
-// cold-start broadcast storm.
+// see PAPERS.md), a 256-node L2S cluster pinned through its cold-start
+// broadcast storm, and L2S at 64 and 512 nodes holding queue entries in
+// proportion to the nodes.
 //
 // The model: Poisson arrivals at rate lambda, each request dispatched to
 // the LOWEST-indexed idle server (ordered hunting) and holding it for the
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "l2sim/cluster/node.hpp"
 #include "l2sim/common/rng.hpp"
 #include "l2sim/common/units.hpp"
 #include "l2sim/core/experiment.hpp"
@@ -181,6 +183,50 @@ TEST(LargeN, L2sBroadcastStormMatchesRecordedDigest) {
   const auto r = sim.run();
   EXPECT_EQ(core::result_digest_hex(r), "2da1b1aaa2a4d212");
   EXPECT_GT(r.via_messages, 0u);
+}
+
+/// The queue entries one fault-free L2S run held at its peaks, and the VIA
+/// message records still taken when it ended.
+struct QueuePeaks {
+  std::size_t entries = 0;  ///< over nodes: CPU + rx NIC + tx NIC peaks
+  std::size_t records_in_use = 0;
+};
+
+QueuePeaks l2s_queue_peaks(const trace::Trace& tr, int nodes) {
+  core::SimConfig cfg;
+  cfg.nodes = nodes;
+  cfg.node.cache_bytes = 32 * kMiB;
+  core::ClusterSimulation sim(cfg, tr, core::make_policy(core::PolicyKind::kL2s, 20.0 * 0.005));
+  const auto r = sim.run();
+  EXPECT_GT(r.via_messages, 0u);
+  QueuePeaks peaks;
+  for (int n = 0; n < nodes; ++n) {
+    cluster::Node& node = sim.node(n);
+    peaks.entries += node.cpu().peak_queue_entries() + node.nic().rx().peak_queue_entries() +
+                     node.nic().tx().peak_queue_entries();
+  }
+  peaks.records_in_use = sim.via().message_records_in_use();
+  return peaks;
+}
+
+// The same stream on 64 and on 512 nodes. Each broadcast sends N-1
+// messages, so the cold-start storm queues O(N^2) jobs at the receivers;
+// delivery runs must keep the queue entries that hold them O(N), the
+// peaks summed over nodes growing by at most the 8x of the node count.
+// With an entry per queued delivery the sum grew 18.4x (705 to 1,623
+// entries a node).
+TEST(LargeN, L2sQueueEntriesGrowLinearlyInNodes) {
+  auto spec = trace::paper_trace_spec("calgary");
+  spec.requests = static_cast<std::uint64_t>(static_cast<double>(spec.requests) * 0.005);
+  const auto tr = trace::generate(spec);
+  const QueuePeaks small = l2s_queue_peaks(tr, 64);
+  const QueuePeaks large = l2s_queue_peaks(tr, 512);
+  EXPECT_GT(small.entries, 0u);
+  EXPECT_LE(large.entries, 8 * small.entries)
+      << "64 nodes: " << small.entries << ", 512 nodes: " << large.entries;
+  // Broadcasts take no message record, and every unicast returned its own.
+  EXPECT_EQ(small.records_in_use, 0u);
+  EXPECT_EQ(large.records_in_use, 0u);
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(LardPolicy, ReplicatesUnderImbalance) {
   for (int i = 0; i < 7; ++i) (void)p.select_service_node(0, PolicyFixture::request_for(9));
   const int now_chosen = p.select_service_node(0, PolicyFixture::request_for(9));
   EXPECT_NE(now_chosen, first);  // set grew; the spare backend takes over
-  EXPECT_TRUE(p.server_sets().contains(9, now_chosen));
+  EXPECT_TRUE(p.server_sets().contains(0, 9, now_chosen));
   EXPECT_GE(p.counters().set_grow, 1u);
 }
 

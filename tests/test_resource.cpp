@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -247,23 +248,23 @@ TEST(ResourceRun, OnlyTheTailRunWithTheSameTagGrows) {
   int b = 0;
   // In service and the tail: it grows.
   r.submit_run(10, 1, [&] { ++a; }, 1);
-  EXPECT_FALSE(r.extend(2));
-  EXPECT_TRUE(r.extend(1));
+  EXPECT_FALSE(r.extend(2, 10));
+  EXPECT_TRUE(r.extend(1, 10));
   EXPECT_EQ(r.queue_length(), 1u);
   // Queued and the tail: it grows; the one in service no longer can.
   r.submit_run(10, 1, [&] { ++b; }, 2);
-  EXPECT_FALSE(r.extend(1));
-  EXPECT_TRUE(r.extend(2));
+  EXPECT_FALSE(r.extend(1, 10));
+  EXPECT_TRUE(r.extend(2, 10));
   EXPECT_EQ(r.queue_length(), 3u);
   // A plain submit becomes the tail: nothing grows until a new run.
   r.submit(10, [] {});
-  EXPECT_FALSE(r.extend(2));
-  EXPECT_FALSE(r.extend(1));
+  EXPECT_FALSE(r.extend(2, 10));
+  EXPECT_FALSE(r.extend(1, 10));
   r.submit_run(10, 1, [&] { ++b; }, 2);
-  EXPECT_TRUE(r.extend(2));
+  EXPECT_TRUE(r.extend(2, 10));
   // An untagged run never grows, and kNoTag is no tag.
   r.submit_run(10, 2, [] {});
-  EXPECT_THROW(static_cast<void>(r.extend(Resource::kNoTag)), l2s::Error);
+  EXPECT_THROW(static_cast<void>(r.extend(Resource::kNoTag, 10)), l2s::Error);
   EXPECT_EQ(r.queue_length(), 8u);
   s.run();
   EXPECT_EQ(a, 2);
@@ -271,8 +272,64 @@ TEST(ResourceRun, OnlyTheTailRunWithTheSameTagGrows) {
   EXPECT_EQ(r.jobs_completed(), 9u);
   EXPECT_EQ(s.now(), 90);
   // Once its last job has completed a run is gone: the tag finds nothing.
-  EXPECT_FALSE(r.extend(1));
+  EXPECT_FALSE(r.extend(1, 10));
   EXPECT_FALSE(r.busy());
+}
+
+// Runs that share a tag have interchangeable steps: here each pops the
+// next id from one FIFO, as a receiver's delivery runs pop its inbox.
+// Whichever run carrying the tag is the tail takes extend(), and the ids
+// still come out in push order, each at the time a single submit of its
+// own would complete.
+TEST(ResourceRun, RunsSharingATagGrowOnlyAtTheTail) {
+  constexpr std::uint32_t kShared = 3;
+  Scheduler s;
+  Resource r(s, "rx");
+  std::deque<int> inbox;
+  std::vector<std::pair<SimTime, int>> popped;
+  const auto pop = [&] {
+    popped.emplace_back(s.now(), inbox.front());
+    inbox.pop_front();
+  };
+  const auto arrive = [&](int id) {
+    inbox.push_back(id);
+    if (!r.extend(kShared, 10)) r.submit_run(10, 1, pop, kShared);
+  };
+  arrive(1);  // starts a run, in service
+  arrive(2);  // grows it
+  r.submit(5, [] {});
+  arrive(3);  // the plain job is the tail: a second run starts
+  arrive(4);  // and grows; the first run no longer can
+  EXPECT_EQ(r.queue_length(), 4u);
+  EXPECT_EQ(r.peak_queue_entries(), 2u);
+  s.run_until(15);  // job 1 done, job 2 (the first run's last) in service
+  arrive(5);        // the second run is still the tail
+  EXPECT_EQ(r.peak_queue_entries(), 2u);
+  s.run();
+  EXPECT_EQ(popped, (std::vector<std::pair<SimTime, int>>{
+                        {10, 1}, {20, 2}, {35, 3}, {45, 4}, {55, 5}}));
+  EXPECT_TRUE(inbox.empty());
+  EXPECT_EQ(r.jobs_completed(), 6u);
+  EXPECT_EQ(r.busy_time(), 55);
+}
+
+// A run grows only by jobs of its own service time: a job of another
+// length starts a run of its own behind it.
+TEST(ResourceRun, ExtendRefusesAnotherServiceTime) {
+  Scheduler s;
+  Resource r(s, "rx");
+  std::vector<std::pair<SimTime, char>> fired;
+  r.submit_run(10, 1, [&] { fired.emplace_back(s.now(), 'a'); }, 7);
+  EXPECT_FALSE(r.extend(7, 12));  // in service, another length
+  EXPECT_TRUE(r.extend(7, 10));
+  r.submit_run(12, 1, [&] { fired.emplace_back(s.now(), 'b'); }, 7);
+  EXPECT_FALSE(r.extend(7, 10));  // queued tail, another length
+  EXPECT_TRUE(r.extend(7, 12));
+  EXPECT_EQ(r.queue_length(), 3u);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, char>>{
+                       {10, 'a'}, {20, 'a'}, {32, 'b'}, {44, 'b'}}));
+  EXPECT_EQ(r.busy_time(), 44);
 }
 
 TEST(ResourceRun, InServiceRunGrowsFromItsOwnStep) {
@@ -288,7 +345,7 @@ TEST(ResourceRun, InServiceRunGrowsFromItsOwnStep) {
         10, jobs,
         [&] {
           fired.push_back(s.now());
-          if (fired.size() == 1) grew = r.extend(5);
+          if (fired.size() == 1) grew = r.extend(5, 10);
         },
         5);
     s.run();

@@ -136,6 +136,9 @@ TEST(Via, StatsCountAndReset) {
 
 // --- broadcasts ---------------------------------------------------------------
 
+/// The unicast pairs storm() sends between broadcast deliveries.
+constexpr int kUnicasts = 40;
+
 /// A seeded oracle: each message is dropped, duplicated or delayed at random.
 struct RandomLinkFaults final : LinkFaultModel {
   Rng rng{0xB40ADCA5};
@@ -158,11 +161,15 @@ struct Outcome {
   std::array<std::uint64_t, 5> counters{};
 };
 
-/// Every endpoint of a 64-endpoint network broadcasts at t = 0; the first
-/// delivery from 0 to 1 makes 1 broadcast again from inside the handler,
-/// and unicast traffic from 0 and 5 cuts into their NIC queues at 20 us.
-/// With `by_sends` the test issues each broadcast as N-1 send() calls in
-/// destination order instead of one broadcast() call.
+/// Every endpoint of a 64-endpoint network broadcasts at t = 0, odd ones
+/// 16 bytes and even ones 1,500, so each receiver's deliveries alternate
+/// between two NIC service times; the first delivery from 0 to 1 makes 1
+/// broadcast again from inside the handler. Unicast traffic cuts into the
+/// senders' NIC queues at 20 us, and every 9 us for the first 360 us a
+/// send and a transmit land between the deliveries queued at two of the
+/// receivers' rx NICs (and the send at its CPU). With `by_sends` the test
+/// issues each broadcast as N-1 send() calls in destination order instead
+/// of one broadcast() call.
 Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
   constexpr int kNodes = 64;
   RandomLinkFaults oracle;  // outlives the network, as set_fault_model asks
@@ -171,6 +178,7 @@ Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
   Outcome out;
   bool echoed = false;
   std::function<void(int)> cast = [&](int src) {
+    const Bytes size = src % 2 == 0 ? 1'500 : 16;
     const auto on_delivered = [&, src](int dst) {
       out.deliveries.emplace_back(f.sched.now(), src, dst);
       if (src == 0 && dst == 1 && !echoed) {
@@ -179,11 +187,11 @@ Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
       }
     };
     if (!by_sends) {
-      f.via.broadcast(src, 16, on_delivered);
+      f.via.broadcast(src, size, on_delivered);
       return;
     }
     for (int dst = 0; dst < kNodes; ++dst) {
-      if (dst != src) f.via.send(src, dst, 16, [on_delivered, dst] { on_delivered(dst); });
+      if (dst != src) f.via.send(src, dst, size, [on_delivered, dst] { on_delivered(dst); });
     }
   };
   for (int src = 0; src < kNodes; ++src) cast(src);
@@ -191,6 +199,15 @@ Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
     f.via.send(0, 2, 16, [&] { out.deliveries.emplace_back(f.sched.now(), -1, 2); });
     f.via.transmit(5, 3, 4096, [&] { out.deliveries.emplace_back(f.sched.now(), -1, 3); });
   });
+  for (int k = 0; k < kUnicasts; ++k) {
+    f.sched.at(10'000 + k * 9'000, [&, k] {
+      const int to = (k * 7 + 3) % kNodes;
+      const int from = (to + 1 + k % 5) % kNodes;
+      f.via.send(from, to, 64, [&, to] { out.deliveries.emplace_back(f.sched.now(), -2, to); });
+      f.via.transmit(to, from, static_cast<Bytes>(256 * (k % 3)),
+                     [&, from] { out.deliveries.emplace_back(f.sched.now(), -3, from); });
+    });
+  }
   f.sched.run();
   for (int i = 0; i < kNodes; ++i) {
     for (const des::Resource* r : {f.cpus[static_cast<std::size_t>(i)].get(),
@@ -204,6 +221,7 @@ Outcome storm(const TopologyConfig& config, bool faults, bool by_sends) {
                   f.via.messages_duplicated(), f.via.messages_delayed(),
                   f.via.messages_delivered()};
   EXPECT_TRUE(echoed);
+  EXPECT_EQ(f.via.message_records_in_use(), 0u);
   return out;
 }
 
@@ -220,8 +238,8 @@ TEST(ViaBroadcast, EqualsItsPointToPointSends) {
       SCOPED_TRACE(std::string(config.kind_name()) + (faults ? " faults" : " healthy"));
       const Outcome cast = storm(config, faults, false);
       const Outcome sends = storm(config, faults, true);
-      // 64 x 63 broadcast messages, 63 echoed, two unicasts.
-      EXPECT_EQ(cast.counters[0], 64u * 63u + 63u + 2u);
+      // 64 x 63 broadcast messages, 63 echoed, the unicasts.
+      EXPECT_EQ(cast.counters[0], 64u * 63u + 63u + 2u + 2u * kUnicasts);
       if (faults) {
         EXPECT_GT(cast.counters[1], 0u);
         EXPECT_GT(cast.counters[2], 0u);
@@ -238,23 +256,31 @@ TEST(ViaBroadcast, EqualsItsPointToPointSends) {
   }
 }
 
-// A broadcast costs one CPU queue entry up front: no message record is
-// taken until a message leaves the sender's NIC.
+// A broadcast costs one CPU queue entry up front, and none of its
+// messages ever takes a message record: eight of 2,049 endpoints
+// broadcast at once, and each receiver queues the deliveries in delivery
+// runs.
 TEST(ViaBroadcast, TakesNoMessageRecordUpFront) {
   constexpr int kNodes = 2049;
   ViaFixture f(kNodes);
   int delivered = 0;
-  f.via.broadcast(0, 16, [&](int) { ++delivered; });
+  for (int src = 0; src < 8; ++src) f.via.broadcast(src, 16, [&](int) { ++delivered; });
   EXPECT_EQ(f.via.message_pool_capacity(), 0u);
   EXPECT_TRUE(f.cpus[0]->busy());
   EXPECT_EQ(f.cpus[0]->queue_length(), 2047u);
   f.sched.run();
-  EXPECT_EQ(delivered, kNodes - 1);
-  EXPECT_EQ(f.cpus[0]->jobs_completed(), 2048u);
+  EXPECT_EQ(delivered, 8 * (kNodes - 1));
+  EXPECT_EQ(f.cpus[0]->jobs_completed(), 2048u + 7u);
   EXPECT_EQ(f.nics[0]->tx().jobs_completed(), 2048u);
-  // The NIC (6 us a message) trails the CPU (3 us): about half of the
-  // messages were ever queued in it, none of them holding a record.
-  EXPECT_LE(f.via.message_pool_capacity(), 1024u);
+  EXPECT_EQ(f.nics[0]->rx().jobs_completed(), 7u);
+  EXPECT_EQ(f.via.message_pool_capacity(), 0u);
+  // A receiver's seven or eight deliveries wait in at most two runs a
+  // queue (the eighth source's first message may find the queues idle).
+  for (int i = 8; i < kNodes; ++i) {
+    EXPECT_EQ(f.cpus[static_cast<std::size_t>(i)]->jobs_completed(), 8u);
+    EXPECT_LE(f.nics[static_cast<std::size_t>(i)]->rx().peak_queue_entries(), 1u) << i;
+    EXPECT_LE(f.cpus[static_cast<std::size_t>(i)]->peak_queue_entries(), 1u) << i;
+  }
 }
 
 }  // namespace

@@ -24,18 +24,22 @@
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#   9. AddressSanitizer build (build-asan/, with _GLIBCXX_ASSERTIONS, so
-#      std::vector and std::array indexing is bounds-checked too): all eight
-#      test binaries, the l2sim CLI and policy_comparison, and ctest runs
-#      every registered test once — the gtest suites, the cli.* smoke tests
-#      and every `l2sim study` (cli.study.*, label `study`, each at --scale
-#      0.005 on 2 threads; span-breakdown's passes only when its span
-#      reconstruction matches the engine). Continuations live in scheduler
-#      slots, resource slots and pooled VIA message and broadcast records
-#      and name their connection by a handle into the connection pool's
-#      slots; the caches index files by slot arithmetic; replicas share
-#      server-set lists. A lifetime or indexing bug could surface in any
-#      suite
+#   9. AddressSanitizer + UndefinedBehaviorSanitizer build (build-asan/,
+#      with _GLIBCXX_ASSERTIONS, so std::vector and std::array indexing is
+#      bounds-checked too, and -fno-sanitize-recover=undefined, so the first
+#      UB report fails its test): all eight test binaries, the l2sim CLI and
+#      policy_comparison, and ctest runs every registered test once — the
+#      gtest suites, the cli.* smoke tests and every `l2sim study`
+#      (cli.study.*, label `study`, each at --scale 0.005 on 2 threads;
+#      span-breakdown's passes only when its span reconstruction matches
+#      the engine). Continuations live in scheduler slots, resource slots
+#      and pooled VIA message and broadcast records and name their
+#      connection by a handle into the connection pool's slots; broadcast
+#      deliveries wait as ids in receiver inboxes behind tagged runs; the
+#      caches index files by slot arithmetic; the replica table reaches
+#      rows through chunk masks, and its shared member lists count their
+#      holders by hand. A lifetime, indexing or arithmetic bug could
+#      surface in any suite
 #  10. ThreadSanitizer build (build-tsan/): the same full suite, once
 #      (run_parallel, the thread budget and the per-job telemetry merge are
 #      the threaded code; every study runs its simulations through
@@ -100,7 +104,7 @@ fi
 tests="l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests l2sim_cli policy_comparison"
 
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "== AddressSanitizer: every test =="
+  echo "== AddressSanitizer + UndefinedBehaviorSanitizer: every test =="
   cmake -B build-asan -S . -DL2SIM_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$(nproc)" --target $tests
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
