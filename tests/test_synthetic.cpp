@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "l2sim/common/error.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
@@ -130,6 +136,69 @@ TEST(PaperTraces, WorkingSetsInPaperRange) {
     const double mb = static_cast<double>(t.files().total_bytes()) / (1024.0 * 1024.0);
     EXPECT_GT(mb, 270.0) << spec.name;
     EXPECT_LT(mb, 740.0) << spec.name;
+  }
+}
+
+/// FNV-1a over a generated trace, byte by byte: every file's size in id
+/// order, then each request's file and bytes, as little-endian 64-bit words.
+std::string trace_digest(const Trace& t) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto word = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (FileId f = 0; f < t.files().count(); ++f) word(t.files().size_of(f));
+  for (const auto& r : t.requests()) {
+    word(r.file);
+    word(r.bytes);
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::vector<SyntheticSpec> pinned_specs() {
+  std::vector<SyntheticSpec> specs;
+  for (auto spec : paper_trace_specs()) {
+    spec.requests = 20000;
+    specs.push_back(std::move(spec));
+  }
+  specs.push_back(specweb99_spec(2000, 20000));
+  SyntheticSpec local = small_spec();
+  local.name = "temporal";
+  local.temporal_locality = 0.3;
+  specs.push_back(std::move(local));
+  return specs;
+}
+
+const std::vector<std::pair<std::string, std::string>> kTraceGolden = {
+    {"Calgary", "00411185bc5865f8"},
+    {"Clarknet", "26363cfafecd1336"},
+    {"NASA", "f706280ba16cc759"},
+    {"Rutgers", "02b0116f028040a1"},
+    {"specweb99", "918119211dbee8c2"},
+    {"temporal", "c087b74fff48ffae"},
+};
+
+// The generator's output, pinned per spec: the file sizes and every
+// request. Recorded while each draw was a binary search over the CDF; the
+// guide table must return the same ranks. The simulation pins see a trace
+// only through the cells they run, so these pin the generator itself.
+// L2SIM_GOLDEN_PRINT=1 prints the digests instead of checking them.
+TEST(Synthetic, OutputMatchesRecordedDigests) {
+  const auto specs = pinned_specs();
+  ASSERT_EQ(specs.size(), kTraceGolden.size());
+  const bool print = std::getenv("L2SIM_GOLDEN_PRINT") != nullptr;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string digest = trace_digest(generate(specs[i]));
+    if (print) {
+      std::printf("GOLDEN    {\"%s\", \"%s\"},\n", specs[i].name.c_str(), digest.c_str());
+      continue;
+    }
+    EXPECT_EQ(specs[i].name, kTraceGolden[i].first);
+    EXPECT_EQ(digest, kTraceGolden[i].second) << specs[i].name;
   }
 }
 
