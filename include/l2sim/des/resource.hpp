@@ -1,6 +1,9 @@
 // Single-server FIFO resource: the building block for CPUs, disks, NICs
 // and the router. Jobs queue in arrival order; the resource tracks busy
-// time (for utilization/idle-time reports) and queue statistics.
+// time (for utilization/idle-time reports) and queue statistics. Busy
+// time runs with the clock: it counts the elapsed part of the job in
+// service, so a sampler that differentiates it per window sees each
+// window's own share of a job longer than the window.
 //
 // A queue entry is a run: k jobs with one service time and one step
 // callable that fires after each of them. A plain submit is a run of one
@@ -67,13 +70,18 @@ class Resource {
   /// The most entries (runs, whatever their job counts) that ever waited
   /// behind the one in service; reset_stats() leaves it alone.
   [[nodiscard]] std::size_t peak_queue_entries() const { return peak_entries_; }
-  [[nodiscard]] SimTime busy_time() const { return busy_time_; }
+  /// Service given since the last reset_stats(), up to now: the jobs
+  /// completed and the elapsed part of the one in service.
+  [[nodiscard]] SimTime busy_time() const {
+    return busy_ ? busy_time_ + (sched_.now() - started_) : busy_time_;
+  }
 
   /// Fraction of [0, elapsed] the server was busy.
   [[nodiscard]] double utilization(SimTime elapsed) const;
 
   /// Zero the accumulated statistics (measurement starts after warm-up);
-  /// in-flight work is unaffected.
+  /// in-flight work is unaffected, and only its service after the reset
+  /// counts.
   void reset_stats();
 
  private:
@@ -99,7 +107,8 @@ class Resource {
   /// the entries themselves.
   std::uint64_t run_jobs_waiting_ = 0;
   std::size_t peak_entries_ = 0;
-  SimTime busy_time_ = 0;
+  SimTime busy_time_ = 0;  ///< service of the jobs completed since the reset
+  SimTime started_ = 0;    ///< when the job in service started (or the reset)
   std::uint64_t jobs_ = 0;
 };
 

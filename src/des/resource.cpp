@@ -46,6 +46,7 @@ bool Resource::extend(std::uint32_t tag, SimTime service) {
 void Resource::start(SimTime service, std::uint32_t more, std::uint32_t tag,
                      EventFn&& step) {
   busy_ = true;
+  started_ = sched_.now();
   in_service_.service = service;
   in_service_.more = more;
   in_service_.tag = tag;
@@ -54,7 +55,7 @@ void Resource::start(SimTime service, std::uint32_t more, std::uint32_t tag,
 }
 
 void Resource::complete() {
-  busy_time_ += in_service_.service;
+  busy_time_ += sched_.now() - started_;  // its service, or the part since a reset
   ++jobs_;
   if (in_service_.more > 0) {
     next_in_run();
@@ -76,17 +77,19 @@ void Resource::next_in_run() {
   // The run's next job starts now; its step fires in its slot.
   --in_service_.more;
   --run_jobs_waiting_;
+  started_ = sched_.now();
   sched_.after(in_service_.service, [this]() { complete(); });
   in_service_.step();
 }
 
 double Resource::utilization(SimTime elapsed) const {
   if (elapsed <= 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(elapsed);
+  return static_cast<double>(busy_time()) / static_cast<double>(elapsed);
 }
 
 void Resource::reset_stats() {
   busy_time_ = 0;
+  started_ = sched_.now();
   jobs_ = 0;
 }
 

@@ -135,6 +135,45 @@ TEST(Resource, ResetStatsKeepsQueue) {
   EXPECT_EQ(r.busy_time(), 10);
 }
 
+// busy_time() between completions: samples every 50 ms read exactly the
+// service given so far, during one 300 ms job and during a run of three
+// 100 ms jobs, so per-window utilization never exceeds the window.
+TEST(Resource, BusyTimeCountsTheElapsedServiceOfTheJobInService) {
+  const SimTime ms = seconds_to_simtime(0.001);
+  for (const bool as_run : {false, true}) {
+    Scheduler s;
+    Resource r(s, "cpu");
+    if (as_run) {
+      r.submit_run(100 * ms, 3, [] {});
+    } else {
+      r.submit(300 * ms, [] {});
+    }
+    std::vector<SimTime> seen;
+    for (int t = 0; t <= 400; t += 50) s.at(t * ms, [&] { seen.push_back(r.busy_time()); });
+    s.run();
+    std::vector<SimTime> want;
+    for (int t = 0; t <= 400; t += 50) want.push_back(std::min(t, 300) * ms);
+    EXPECT_EQ(seen, want) << (as_run ? "run" : "single job");
+    EXPECT_DOUBLE_EQ(r.utilization(400 * ms), 0.75);
+  }
+}
+
+// A reset in the middle of a job counts only the service after it.
+TEST(Resource, ResetMidJobCountsOnlyTheServiceAfterIt) {
+  const SimTime ms = seconds_to_simtime(0.001);
+  Scheduler s;
+  Resource r(s, "cpu");
+  r.submit(300 * ms, [] {});
+  s.run_until(100 * ms);
+  r.reset_stats();
+  EXPECT_EQ(r.busy_time(), 0);
+  s.run_until(150 * ms);
+  EXPECT_EQ(r.busy_time(), 50 * ms);
+  s.run();
+  EXPECT_EQ(r.busy_time(), 200 * ms);
+  EXPECT_EQ(r.jobs_completed(), 1u);
+}
+
 TEST(Resource, QueueLengthReflectsWaiters) {
   Scheduler s;
   Resource r(s, "x");

@@ -160,14 +160,14 @@ TEST(TelemetryProbe, ProbeSeriesRideTheLoadSampler) {
     EXPECT_EQ(other->samples.size(), cpu_q->samples.size());
   }
   // Utilization samples are fractions of the sampling window. The resource
-  // credits a service's busy time when it completes, so a service spanning
-  // a window boundary can push one window slightly past 1.0 — allow that,
-  // but rule out cumulative (unbounded-growth) accounting.
+  // counts the elapsed part of the job in service, so a service spanning a
+  // window boundary splits across the windows it spans and no window reads
+  // more than 1.
   const auto* util = r.telemetry->find("node.cpu_utilization", {{"node", "0"}});
   ASSERT_NE(util, nullptr);
   for (const auto& [t, v] : util->samples) {
     EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.25);
+    EXPECT_LE(v, 1.0);
   }
 }
 
