@@ -85,8 +85,8 @@ TEST(Harmonic, ZeroAndNegativeXAreZero) {
 }
 
 TEST(Harmonic, RejectsNonPositiveAlpha) {
-  EXPECT_THROW(harmonic(10.0, 0.0), l2s::Error);
-  EXPECT_THROW(harmonic_exact(10, -1.0), l2s::Error);
+  EXPECT_THROW((void)harmonic(10.0, 0.0), l2s::Error);
+  EXPECT_THROW((void)harmonic_exact(10, -1.0), l2s::Error);
 }
 
 }  // namespace

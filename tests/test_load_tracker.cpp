@@ -47,9 +47,9 @@ TEST(LoadView, AnyBelow) {
 
 TEST(LoadView, BoundsChecked) {
   LoadView v(2);
-  EXPECT_THROW(v.get(2), l2s::Error);
+  EXPECT_THROW((void)v.get(2), l2s::Error);
   EXPECT_THROW(v.set(-1, 0), l2s::Error);
-  EXPECT_THROW(v.least_loaded_of({}), l2s::Error);
+  EXPECT_THROW((void)v.least_loaded_of({}), l2s::Error);
 }
 
 TEST(BroadcastThrottle, FiresOnDelta) {

@@ -44,10 +44,10 @@ TEST(Mm1, IdleQueueHasServiceOnlyResponse) {
 }
 
 TEST(Mm1, RejectsInvalidInputs) {
-  EXPECT_THROW(mm1_metrics(1.0, 0.0), Error);
-  EXPECT_THROW(mm1_metrics(-1.0, 1.0), Error);
-  EXPECT_THROW(mm1_metrics(1.0, 1.0), Error);
-  EXPECT_THROW(mm1_metrics(2.0, 1.0), Error);
+  EXPECT_THROW((void)mm1_metrics(1.0, 0.0), Error);
+  EXPECT_THROW((void)mm1_metrics(-1.0, 1.0), Error);
+  EXPECT_THROW((void)mm1_metrics(1.0, 1.0), Error);
+  EXPECT_THROW((void)mm1_metrics(2.0, 1.0), Error);
 }
 
 }  // namespace

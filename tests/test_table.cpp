@@ -96,7 +96,7 @@ TEST(Env, DoubleFallback) {
   ::setenv("L2SIM_TEST_D", "0.25", 1);
   EXPECT_DOUBLE_EQ(env_double("L2SIM_TEST_D", 1.0), 0.25);
   ::setenv("L2SIM_TEST_D", "garbage", 1);
-  EXPECT_THROW(env_double("L2SIM_TEST_D", 1.0), Error);
+  EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
   ::setenv("L2SIM_TEST_D", "0.5abc", 1);  // trailing garbage
   EXPECT_THROW((void)env_double("L2SIM_TEST_D", 1.0), Error);
   ::setenv("L2SIM_TEST_D", "1e999", 1);  // overflows a double
@@ -122,9 +122,9 @@ TEST(Env, IntFallback) {
 
 TEST(Env, BenchScaleValidates) {
   ::setenv("L2SIM_SCALE", "0", 1);
-  EXPECT_THROW(bench_scale(), Error);
+  EXPECT_THROW((void)bench_scale(), Error);
   ::setenv("L2SIM_SCALE", "1.5", 1);
-  EXPECT_THROW(bench_scale(), Error);
+  EXPECT_THROW((void)bench_scale(), Error);
   ::setenv("L2SIM_SCALE", "0.5abc", 1);
   EXPECT_THROW((void)bench_scale(), Error);
   ::setenv("L2SIM_SCALE", "0.5", 1);

@@ -130,7 +130,7 @@ TEST(TelemetryRegistry, SameKeyDifferentKindThrows) {
 TEST(TelemetryRegistry, ReferencesStableAcrossRegistrations) {
   Registry reg;
   Counter& first = reg.counter("c0");
-  for (int i = 1; i < 200; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 1; i < 200; ++i) reg.counter(std::string("c").append(std::to_string(i)));
   first.add(3);
   EXPECT_EQ(reg.counter("c0").value(), 3u);
 }

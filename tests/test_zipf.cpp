@@ -62,15 +62,15 @@ TEST(InvertPopulation, TargetOneReturnsN) {
 }
 
 TEST(InvertPopulation, RejectsOutOfRangeTargets) {
-  EXPECT_THROW(invert_population(10.0, 0.0, 1.0), l2s::Error);
-  EXPECT_THROW(invert_population(10.0, -0.5, 1.0), l2s::Error);
-  EXPECT_THROW(invert_population(10.0, 1.5, 1.0), l2s::Error);
+  EXPECT_THROW((void)invert_population(10.0, 0.0, 1.0), l2s::Error);
+  EXPECT_THROW((void)invert_population(10.0, -0.5, 1.0), l2s::Error);
+  EXPECT_THROW((void)invert_population(10.0, 1.5, 1.0), l2s::Error);
 }
 
 TEST(InvertPopulation, UnreachableTargetThrows) {
   // For alpha > 1 the harmonic series converges: z(n, f) has a positive
   // infimum as f -> infinity, so tiny targets are unreachable.
-  EXPECT_THROW(invert_population(1000.0, 1e-6, 1.5), l2s::Error);
+  EXPECT_THROW((void)invert_population(1000.0, 1e-6, 1.5), l2s::Error);
 }
 
 TEST(InvertPopulation, LargePopulationsForLowTargets) {

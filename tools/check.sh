@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep:
-#   1. tier-1: Release build + entire test suite
+#   1. tier-1: Release build with -Werror (L2SIM_WERROR=ON, so a new
+#      compiler warning fails the sweep) + entire test suite
 #   2. DES kernel bench (gates: >=2x open-loop speedup, zero steady-state
 #      heap allocations in the inline kernel)
 #   3. fault bench (gates: crash/failover/loss acceptance criteria from
@@ -61,8 +62,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier-1: Release build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: Release build (-Werror) + full test suite =="
+cmake -B build -S . -DL2SIM_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
