@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "fnv.hpp"
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/metrics.hpp"
 #include "l2sim/obs/decision.hpp"
@@ -110,30 +111,6 @@ std::vector<StreamCell> stream_cells() {
   return cells;
 }
 
-/// FNV-1a, byte by byte.
-class Fnv {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  }
-  void text(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  void byte(unsigned char b) {
-    h_ ^= b;
-    h_ *= 1099511628211ULL;
-  }
-  std::uint64_t h_ = 1469598103934665603ULL;
-};
-
 const std::vector<std::pair<std::string, std::string>> kStreamGolden = {
     {"l2s|handoff|crash-recover", "11b4c0d9d07d5636"},
     {"lard|backend|rack", "508b282a38d9c7c3"},
@@ -167,7 +144,7 @@ TEST(GoldenResults, ObserverStreamsMatchRecordedDigests) {
     const auto r = run_once(tr, c.cfg, c.kind);
     ASSERT_NE(r.decisions, nullptr) << c.name;
     ASSERT_NE(r.telemetry, nullptr) << c.name;
-    Fnv h;
+    testing::Fnv h;
     h.u64(result_digest(r));
     for (const auto& rec : r.decisions->records) {
       const int kind = static_cast<int>(rec.kind);

@@ -135,9 +135,9 @@ TEST(Resource, ResetStatsKeepsQueue) {
   EXPECT_EQ(r.busy_time(), 10);
 }
 
-// busy_time() between completions: samples every 50 ms read exactly the
-// service given so far, during one 300 ms job and during a run of three
-// 100 ms jobs, so per-window utilization never exceeds the window.
+// Samples of busy_time() every 50 ms read exactly the service given so far,
+// during one 300 ms job and during a run of three 100 ms jobs, so no window
+// is credited more busy time than its length.
 TEST(Resource, BusyTimeCountsTheElapsedServiceOfTheJobInService) {
   const SimTime ms = seconds_to_simtime(0.001);
   for (const bool as_run : {false, true}) {

@@ -66,8 +66,8 @@ std::uint64_t searched_rank(const ZipfSampler& s, double u) {
 }
 
 /// Compares rank_of with the binary search at every CDF value and the
-/// doubles on either side of it, at 0 and at the largest double below 1
-/// (whose bucket can be `files`). Returns the number of mismatches.
+/// doubles on either side of it, at 0, at the largest double below 1 and
+/// at 1, the one draw in bucket `files`. Returns the number of mismatches.
 std::uint64_t edge_mismatches(const ZipfSampler& s) {
   std::vector<double> us{0.0, std::nextafter(1.0, 0.0), 1.0};
   for (const double c : s.cdf()) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "fnv.hpp"
 #include "l2sim/common/error.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
@@ -139,24 +140,16 @@ TEST(PaperTraces, WorkingSetsInPaperRange) {
   }
 }
 
-/// FNV-1a over a generated trace, byte by byte: every file's size in id
-/// order, then each request's file and bytes, as little-endian 64-bit words.
+/// FNV-1a over a generated trace: every file's size in id order, then each
+/// request's file and bytes.
 std::string trace_digest(const Trace& t) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto word = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (FileId f = 0; f < t.files().count(); ++f) word(t.files().size_of(f));
+  testing::Fnv h;
+  for (FileId f = 0; f < t.files().count(); ++f) h.u64(t.files().size_of(f));
   for (const auto& r : t.requests()) {
-    word(r.file);
-    word(r.bytes);
+    h.u64(r.file);
+    h.u64(r.bytes);
   }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return h.hex();
 }
 
 std::vector<SyntheticSpec> pinned_specs() {
