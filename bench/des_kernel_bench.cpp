@@ -264,8 +264,8 @@ Measurement measure(const char* workload_name, const char* kernel_name,
                     std::uint64_t units, std::uint64_t warmup_units) {
   Sched sched;
   // Warm-up inside the same kernel instance: grows the heap/slot vectors
-  // (and the event arena's free lists) to steady-state capacity so the
-  // measured interval reflects steady state, not first-touch growth.
+  // to steady-state capacity so the measured interval reflects steady
+  // state, not first-touch growth.
   {
     Workload<Sched> warm{sched};
     warm.run(warmup_units);

@@ -8,8 +8,9 @@
 // Kernel layout (the trace replays push hundreds of millions of events
 // through here, so the hot path is allocation-free and defined inline):
 //
-//  * Events are InlineEvent callables (see event.hpp): captures up to 48
-//    bytes live inline, larger ones in a thread-local free-list arena.
+//  * Events are InlineEvent callables (see event.hpp), always stored in
+//    place: an oversized, over-aligned or throwing-move capture does not
+//    compile, so nothing is left to count at run time.
 //  * Each event is built once, directly in its slot: at()/after() take the
 //    callable itself and construct it there, and step() invokes it where
 //    it sits. Slots live in chunks that double in size and never move, so

@@ -5,7 +5,8 @@
 // feedback: hot files pin their owner (the imbalance Section 3.2 warns
 // about), which is exactly the gap L2S's server sets close. On a node
 // failure only ~1/N of the keys remap (to the ring successors) — the
-// property that made the scheme popular.
+// property that made the scheme popular — and they move back when the
+// node recovers.
 #pragma once
 
 #include <map>
@@ -30,6 +31,7 @@ class ConsistentHashPolicy final : public Policy {
   [[nodiscard]] int select_service_node(int entry, const trace::Request& r) override;
   [[nodiscard]] SimTime forward_cpu_time(int entry) const override;
   void on_node_failed(int node) override;
+  void on_node_recovered(int node) override;
   void on_pass_start(int pass) override;
 
   /// Ring owner of a file (exposed for tests).
@@ -37,6 +39,9 @@ class ConsistentHashPolicy final : public Policy {
   [[nodiscard]] std::size_t ring_points() const { return ring_.size(); }
 
  private:
+  /// Put `node`'s `virtual_nodes_` points on the ring.
+  void add_points(int node);
+
   int virtual_nodes_;
   ClusterContext ctx_;
   std::map<std::uint64_t, int> ring_;  ///< hash point -> node

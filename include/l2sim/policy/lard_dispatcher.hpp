@@ -39,12 +39,13 @@ class LardDispatcherPolicy final : public Policy {
   [[nodiscard]] SimTime forward_cpu_time(int entry) const override;
   void on_complete(int node, const trace::Request& r) override;
   void on_node_failed(int node) override;
+  void on_node_recovered(int node) override;
 
   [[nodiscard]] static constexpr int dispatcher() { return 0; }
 
  private:
   /// LARD/R over the serving nodes, computed with the dispatcher's tables.
-  [[nodiscard]] int decide(const trace::Request& r);
+  [[nodiscard]] int decide(storage::FileId file);
   [[nodiscard]] int least_loaded_server() const;
   [[nodiscard]] bool any_server_below(int threshold) const;
 

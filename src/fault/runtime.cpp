@@ -43,16 +43,19 @@ void FaultRuntime::arm(SimTime measure_start, Hooks hooks) {
     });
   }
   for (const FailSlow& s : plan_.slowdowns) {
-    const auto apply = [this, s](double factor) {
-      cluster::Node& n = node(s.node);
-      if (s.resource == Resource::kDisk)
-        n.set_disk_slow(factor);
-      else
-        n.set_cpu_slow(factor);
+    const auto slow_by = [this, id = s.node, disk = s.resource == Resource::kDisk](
+                             double factor) {
+      return [this, id, disk, factor]() {
+        cluster::Node& n = node(id);
+        if (disk)
+          n.set_disk_slow(factor);
+        else
+          n.set_cpu_slow(factor);
+      };
     };
-    sched_.after(at(s.from_seconds), [apply, s]() { apply(s.factor); });
+    sched_.after(at(s.from_seconds), slow_by(s.factor));
     if (s.until_seconds < std::numeric_limits<double>::infinity())
-      sched_.after(at(s.until_seconds), [apply]() { apply(1.0); });
+      sched_.after(at(s.until_seconds), slow_by(1.0));
   }
 }
 

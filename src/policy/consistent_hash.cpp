@@ -14,6 +14,11 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// mix64 is a bijection, so no two (node, v) pairs share a ring point.
+std::uint64_t ring_point(int node, int v) {
+  return mix64((static_cast<std::uint64_t>(node) << 32) | static_cast<std::uint64_t>(v));
+}
+
 }  // namespace
 
 ConsistentHashPolicy::ConsistentHashPolicy(int virtual_nodes)
@@ -25,13 +30,11 @@ void ConsistentHashPolicy::attach(const ClusterContext& ctx) {
   ctx_ = ctx;
   ring_.clear();
   alive_entries_.clear();
-  for (int n = 0; n < ctx.node_count(); ++n) {
-    for (int v = 0; v < virtual_nodes_; ++v) {
-      const std::uint64_t point =
-          mix64((static_cast<std::uint64_t>(n) << 32) | static_cast<std::uint64_t>(v));
-      ring_[point] = n;
-    }
-  }
+  for (int n = 0; n < ctx.node_count(); ++n) add_points(n);
+}
+
+void ConsistentHashPolicy::add_points(int node) {
+  for (int v = 0; v < virtual_nodes_; ++v) ring_[ring_point(node, v)] = node;
 }
 
 int ConsistentHashPolicy::entry_node(std::uint64_t seq, const trace::Request& /*r*/) {
@@ -63,18 +66,20 @@ SimTime ConsistentHashPolicy::forward_cpu_time(int entry) const {
 void ConsistentHashPolicy::on_node_failed(int node) {
   // Drop the node's ring points: its keys remap to the ring successors
   // (about 1/N of the key space), everyone else's mapping is untouched.
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == node)
-      it = ring_.erase(it);
-    else
-      ++it;
-  }
+  for (int v = 0; v < virtual_nodes_; ++v) ring_.erase(ring_point(node, v));
   if (alive_entries_.empty()) {
     for (int n = 0; n < ctx_.node_count(); ++n) alive_entries_.push_back(n);
   }
   alive_entries_.erase(std::remove(alive_entries_.begin(), alive_entries_.end(), node),
                        alive_entries_.end());
   if (alive_entries_.empty()) alive_entries_.push_back(node);
+}
+
+void ConsistentHashPolicy::on_node_recovered(int node) {
+  add_points(node);  // its keys come back from the ring successors
+  if (alive_entries_.empty()) return;  // no failure was ever detected: all in the DNS
+  const auto it = std::lower_bound(alive_entries_.begin(), alive_entries_.end(), node);
+  if (it == alive_entries_.end() || *it != node) alive_entries_.insert(it, node);
 }
 
 }  // namespace l2s::policy

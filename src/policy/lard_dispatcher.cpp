@@ -52,10 +52,9 @@ bool LardDispatcherPolicy::any_server_below(int threshold) const {
   return false;
 }
 
-int LardDispatcherPolicy::decide(const trace::Request& r) {
+int LardDispatcherPolicy::decide(storage::FileId file) {
   if (ctx_.node_count() == 1) return 0;
   const SimTime now = ctx_.sched->now();
-  const storage::FileId file = r.file;
 
   int chosen;
   const std::vector<int>& set = sets_.members(0, file);
@@ -91,13 +90,13 @@ int LardDispatcherPolicy::select_service_node(int entry, const trace::Request& r
   // Synchronous fallback (used by persistent connections): skip the wire
   // round trip but use the same tables.
   (void)entry;
-  return decide(r);
+  return decide(r.file);
 }
 
 void LardDispatcherPolicy::select_service_node_async(int entry, const trace::Request& r,
                                                      std::function<void(int)> done) {
   if (ctx_.node_count() == 1 || entry == dispatcher()) {
-    done(decide(r));
+    done(decide(r.file));
     return;
   }
   if (!ctx_.node(dispatcher()).alive()) {
@@ -107,22 +106,21 @@ void LardDispatcherPolicy::select_service_node_async(int entry, const trace::Req
   // Two-way query: entry -> dispatcher (VIA), dispatcher CPU computes the
   // assignment, dispatcher -> entry (VIA), then the entry proceeds.
   ++counters_.dispatcher_queries;
-  const trace::Request request = r;
   ctx_.via->send(entry, dispatcher(), ctx_.control_msg_bytes,
-                 [this, entry, request, done = std::move(done)]() mutable {
+                 [this, entry, file = r.file, done = std::move(done)]() mutable {
                    if (!ctx_.node(dispatcher()).alive()) {
                      done(-1);  // died while the query was in flight
                      return;
                    }
                    ctx_.node(dispatcher())
                        .cpu()
-                       .submit(decision_time_, [this, entry, request,
+                       .submit(decision_time_, [this, entry, file,
                                                 done = std::move(done)]() mutable {
                          if (!ctx_.node(dispatcher()).alive()) {
                            done(-1);
                            return;
                          }
-                         const int target = decide(request);
+                         const int target = decide(file);
                          ctx_.via->send(dispatcher(), entry, ctx_.control_msg_bytes,
                                         [target, done = std::move(done)]() mutable {
                                           done(target);
@@ -150,6 +148,13 @@ void LardDispatcherPolicy::on_node_failed(int node) {
   down_[static_cast<std::size_t>(node)] = true;
   if (node == dispatcher()) return;  // fatal for distribution decisions
   view_.set(node, kDeadLoad);
+}
+
+void LardDispatcherPolicy::on_node_recovered(int node) {
+  // Rejoin as a cold serving node with no load in the dispatcher's view.
+  down_[static_cast<std::size_t>(node)] = false;
+  view_.set(node, 0);
+  completions_since_update_[static_cast<std::size_t>(node)] = 0;
 }
 
 }  // namespace l2s::policy

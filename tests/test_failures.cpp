@@ -5,12 +5,14 @@
 #include <numeric>
 
 #include "l2sim/core/experiment.hpp"
+#include "l2sim/policy/consistent_hash.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/telemetry/registry.hpp"
 #include "l2sim/policy/lard.hpp"
 #include "l2sim/policy/round_robin.hpp"
 #include "l2sim/policy/traditional.hpp"
 #include "l2sim/trace/synthetic.hpp"
+#include "policy_fixture.hpp"
 
 namespace l2s::core {
 namespace {
@@ -109,6 +111,57 @@ TEST(Failures, SurvivorsAbsorbTheDeadNodesFiles) {
   EXPECT_GT(static_cast<double>(r.completed) / static_cast<double>(tr.request_count()),
             0.95);
   EXPECT_GT(r.hit_rate, 0.7);  // the re-homed files miss once, then hit
+}
+
+// Every policy takes back a node that crashed and restarted. Node 3 fails
+// and recovers while every other node is loaded: a policy that balances
+// load (the traditional switch, LARD's front-end, the LARD dispatcher's
+// switch and tables) sends the next request to the idle node 3, and the
+// DNS rotations and the hash ring serve on it again within a few requests.
+// Consistent hashing also gets the node's ring points back.
+TEST(Failures, EveryPolicyChoosesARecoveredNodeAgain) {
+  constexpr int kNodes = 8;
+  constexpr int kRecovered = 3;
+  for (const PolicyKind kind :
+       {PolicyKind::kTraditional, PolicyKind::kLard, PolicyKind::kL2s, PolicyKind::kRoundRobin,
+        PolicyKind::kLardDispatcher, PolicyKind::kConsistentHash}) {
+    SCOPED_TRACE(policy_kind_name(kind));
+    testing::PolicyFixture f(kNodes);
+    const auto policy = make_policy(kind);
+    policy->attach(f.ctx);
+    std::uint64_t seq = 0;
+    storage::FileId next_file = 0;
+    const auto serve_fresh_file = [&] {
+      const trace::Request r = testing::PolicyFixture::request_for(next_file++);
+      const int served = policy->select_service_node(policy->entry_node(seq++, r), r);
+      f.drain();
+      return served;
+    };
+    // Load every node, in the policy's own view (two requests per node for
+    // files no node holds yet) and in its open-connection count.
+    for (int i = 0; i < 2 * kNodes; ++i) serve_fresh_file();
+    for (int n = 0; n < kNodes; ++n) f.set_load(n, 5);
+
+    f.nodes[kRecovered]->fail();
+    policy->on_node_failed(kRecovered);
+    f.nodes[kRecovered]->recover();
+    policy->on_node_recovered(kRecovered);
+
+    const bool balances_load = kind == PolicyKind::kTraditional || kind == PolicyKind::kLard ||
+                               kind == PolicyKind::kLardDispatcher;
+    if (balances_load) {
+      EXPECT_EQ(serve_fresh_file(), kRecovered);
+    } else {
+      bool served_again = false;
+      for (int i = 0; i < 64 && !served_again; ++i)
+        served_again = serve_fresh_file() == kRecovered;
+      EXPECT_TRUE(served_again);
+    }
+    if (kind == PolicyKind::kConsistentHash) {
+      const auto& ring = dynamic_cast<const policy::ConsistentHashPolicy&>(*policy);
+      EXPECT_EQ(ring.ring_points(), static_cast<std::size_t>(kNodes) * 128);
+    }
+  }
 }
 
 TEST(Failures, NoFailuresMeansNoFailedRequests) {

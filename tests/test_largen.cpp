@@ -70,7 +70,7 @@ RankedClusterResult run_ranked_cluster(int nodes, double lambda,
     sum_sq += static_cast<double>(busy_count) * busy_count;
     ++samples;
     if (sched.now() + sample_every <= horizon)
-      sched.after(sample_every, [self] { self(self); });
+      sched.after(sample_every, [&self] { self(self); });
   };
 
   // Poisson arrival source with ordered-hunt dispatch.
@@ -103,7 +103,7 @@ RankedClusterResult run_ranked_cluster(int nodes, double lambda,
     }
     const SimTime gap = 1 + seconds_to_simtime(rng.next_exponential(lambda));
     if (sched.now() + gap <= horizon)
-      sched.after(gap, [self] { self(self); });
+      sched.after(gap, [&self] { self(self); });
   };
 
   sched.at(1, [&sample] { sample(sample); });

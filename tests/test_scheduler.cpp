@@ -7,6 +7,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "l2sim/common/error.hpp"
@@ -128,33 +129,6 @@ TEST(Scheduler, MoveOnlyCallables) {
   EXPECT_EQ(observed, 49);
 }
 
-// Captures larger than the inline buffer spill to the event arena and must
-// still fire exactly once with their state intact.
-TEST(Scheduler, OversizedCapturesSpillAndFire) {
-  Scheduler s;
-  struct Big {
-    std::uint64_t a[12];  // 96 bytes: over InlineEvent::kInlineSize
-  };
-  Big big{};
-  for (int i = 0; i < 12; ++i) big.a[i] = static_cast<std::uint64_t>(i + 1);
-  std::uint64_t sum = 0;
-  s.at(1, [big, &sum] {
-    for (const auto v : big.a) sum += v;
-  });
-  s.run();
-  EXPECT_EQ(sum, 78u);
-
-  // Steady state: repeated spills recycle arena blocks instead of growing.
-  const auto before = EventArena::stats();
-  for (int round = 0; round < 100; ++round) {
-    s.after(1, [big, &sum] { sum += big.a[0]; });
-    s.run();
-  }
-  const auto after = EventArena::stats();
-  EXPECT_EQ(after.outstanding, before.outstanding);
-  EXPECT_GE(after.reused_blocks, before.reused_blocks + 99);
-}
-
 // Property test: a random interleaving of at/after/run_until must fire
 // every event exactly once, in (time, submission order) — the same order a
 // sorted stable reference produces.
@@ -210,6 +184,32 @@ static_assert(kSchedulable<EventFn>);
 static_assert(!kSchedulable<EventFn&>);
 static_assert(kSchedulable<void (*)()>);
 
+// Every event is stored in place: a callable over 48 bytes, aligned to
+// more than 16 or whose move may throw does not convert to an EventFn, so
+// scheduling one is a compile error rather than a heap allocation.
+struct Capture48 {
+  std::uint64_t words[6];
+  void operator()() const {}
+};
+struct Capture56 {
+  std::uint64_t words[7];
+  void operator()() const {}
+};
+struct alignas(32) OverAligned {
+  void operator()() const {}
+};
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&& /*other*/) noexcept(false) {}
+  void operator()() const {}
+};
+static_assert(sizeof(Capture48) == InlineEvent::kInlineSize);
+static_assert(kSchedulable<Capture48> && std::is_convertible_v<Capture48, EventFn>);
+static_assert(sizeof(Capture56) == 56);
+static_assert(!kSchedulable<Capture56> && !std::is_convertible_v<Capture56, EventFn>);
+static_assert(!kSchedulable<OverAligned> && !std::is_convertible_v<OverAligned, EventFn>);
+static_assert(!kSchedulable<ThrowingMove> && !std::is_convertible_v<ThrowingMove, EventFn>);
+
 TEST(Scheduler, EventFnIsScheduledByMove) {
   Scheduler s;
   int fired = 0;
@@ -238,18 +238,6 @@ TEST(Scheduler, HandlerGrowingThePoolKeepsItsCaptures) {
   EXPECT_EQ(seen, 0x6666u);
   EXPECT_EQ(children, 20000);
   EXPECT_EQ(s.pending(), 0u);
-
-  // Same for a callable spilled to the arena.
-  std::array<std::uint64_t, 12> big{};
-  big.fill(5);
-  std::uint64_t sum = 0;
-  s.after(1, [&s, &sum, &children, big] {
-    for (int i = 0; i < 20000; ++i) s.after(1, [&children] { ++children; });
-    for (const auto v : big) sum += v;
-  });
-  s.run();
-  EXPECT_EQ(sum, 60u);
-  EXPECT_EQ(children, 40000);
 }
 
 TEST(Scheduler, ThrowingHandlerReleasesItsSlot) {
@@ -467,7 +455,8 @@ TEST(Scheduler, LaneOwnershipChangesOnlyWhenIdle) {
 }
 
 // A throw while building the callable leaves the queue as it was, in
-// either tier, and the next events keep their order.
+// either tier, and the next events keep their order. The callable's move
+// cannot throw, as every event's must; copying it into the slot does.
 TEST(Scheduler, ThrowingConstructionLeavesTheQueueUnchanged) {
   struct ThrowOnCopy {
     bool armed = true;
@@ -475,6 +464,7 @@ TEST(Scheduler, ThrowingConstructionLeavesTheQueueUnchanged) {
     ThrowOnCopy(const ThrowOnCopy& other) : armed(other.armed) {
       if (armed) throw std::runtime_error("copy failed");
     }
+    ThrowOnCopy(ThrowOnCopy&& other) noexcept : armed(other.armed) {}
     void operator()() const {}
   };
   Scheduler s;

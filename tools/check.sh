@@ -2,30 +2,35 @@
 # Full verification sweep:
 #   1. tier-1: Release build with -Werror (L2SIM_WERROR=ON, so a new
 #      compiler warning fails the sweep) + entire test suite
-#   2. DES kernel bench (gates: >=2x open-loop speedup, zero steady-state
+#   2. benchmark smoke: perfbench/test_perfbench.py builds the benchmark
+#      binary from this checkout (.bench_build/perfbench) and runs every
+#      BENCHMARK.json workload at 2% scale in both modes, so a library
+#      change that breaks the benchmark's policy overrides or its digest
+#      check fails here rather than in a benchmark run
+#   3. DES kernel bench (gates: >=2x open-loop speedup, zero steady-state
 #      heap allocations in the inline kernel)
-#   3. fault bench (gates: crash/failover/loss acceptance criteria from
+#   4. fault bench (gates: crash/failover/loss acceptance criteria from
 #      docs/bench_fault.md, plus bit-reproducibility)
-#   4. telemetry bench (gates: <=1% overhead with spans off, <=5% at 1/64
+#   5. telemetry bench (gates: <=1% overhead with spans off, <=5% at 1/64
 #      span sampling; schema in docs/telemetry.md)
-#   5. overload bench (gates: metastable-collapse acceptance from
+#   6. overload bench (gates: metastable-collapse acceptance from
 #      docs/overload.md — undefended 3x-flash+crash baseline collapses,
 #      the AIMD+budget+brownout stack keeps >= 70% of nominal goodput,
 #      chaos replay bit-identical serial and under run_parallel); emits
 #      build/BENCH_overload.json
-#   6. obs bench (gates: <=2% saturated-throughput overhead with the
+#   7. obs bench (gates: <=2% saturated-throughput overhead with the
 #      default flight-recorder ring on; see docs/observability.md); emits
 #      build/BENCH_obs.json
-#   7. topology bench (gate: flow-level transfers cut scheduled events
+#   8. topology bench (gate: flow-level transfers cut scheduled events
 #      >= 5x on the 256-node forwarding-heavy rack cell; see
 #      docs/topology.md); emits build/BENCH_topology.json
-#   8. analytic bench (gates: Che hit rate within 5 pp of the DES on
+#   9. analytic bench (gates: Che hit rate within 5 pp of the DES on
 #      every fault-free golden/stress cell, >= 100x analytic-vs-DES
 #      wall-clock on the 64-cell sweep; see docs/analytic.md) and the
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#   9. AddressSanitizer + UndefinedBehaviorSanitizer build (build-asan/,
+#  10. AddressSanitizer + UndefinedBehaviorSanitizer build (build-asan/,
 #      with _GLIBCXX_ASSERTIONS, so std::vector and std::array indexing is
 #      bounds-checked too, and -fno-sanitize-recover=undefined, so the first
 #      UB report fails its test): all eight test binaries, the l2sim CLI and
@@ -41,7 +46,7 @@
 #      rows through chunk masks, and its shared member lists count their
 #      holders by hand. A lifetime, indexing or arithmetic bug could
 #      surface in any suite
-#  10. ThreadSanitizer build (build-tsan/): the same full suite, once
+#  11. ThreadSanitizer build (build-tsan/): the same full suite, once
 #      (run_parallel, the thread budget and the per-job telemetry merge are
 #      the threaded code; every study runs its simulations through
 #      run_parallel)
@@ -66,6 +71,9 @@ echo "== tier-1: Release build (-Werror) + full test suite =="
 cmake -B build -S . -DL2SIM_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "== benchmark smoke: build the perfbench binary, every workload at 2% scale =="
+python3 perfbench/test_perfbench.py
 
 echo "== clang-tidy: core engine (skipped when clang-tidy is unavailable) =="
 if command -v clang-tidy >/dev/null 2>&1; then
