@@ -45,6 +45,7 @@ void PersistentPath::persistent_distribute(ConnRef conn) {
   const int current = conn->service_node;
   const int target = ctx_.policy->select_next_in_connection(current, conn->request);
   L2S_REQUIRE(target >= 0 && target < ctx_.cfg().nodes);
+  conn->t_decided = ctx_.now();
   if (target == current) {
     ctx_.service->begin_service(conn, /*opening=*/false);
     return;
@@ -111,8 +112,12 @@ void PersistentPath::remote_fetch(ConnRef conn, int owner) {
           ctx_.retry->abort_connection(conn, obs::DecisionCause::kPeerNodeDown);
           return;
         }
+        // The owner's lookup is this request's service start, and its hit or
+        // disk read ends the storage stage, as in ServicePath::begin_service.
         cluster::Node& o = ctx_.node(owner);
+        conn->t_service = ctx_.now();
         if (o.file_cache().lookup(conn->request.file)) {
+          conn->t_disk_done = ctx_.now();
           send_back(conn, current, owner, att);
           return;
         }
@@ -120,6 +125,7 @@ void PersistentPath::remote_fetch(ConnRef conn, int owner) {
         o.disk().read(file_bytes, [this, conn, file_bytes, current, owner, att]() {
           if (attempt_stale(conn, att)) return;
           ctx_.node(owner).file_cache().insert(conn->request.file, file_bytes);
+          conn->t_disk_done = ctx_.now();
           send_back(conn, current, owner, att);
         });
       });

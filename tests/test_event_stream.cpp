@@ -112,9 +112,9 @@ std::vector<StreamCell> stream_cells() {
 }
 
 const std::vector<std::pair<std::string, std::string>> kStreamGolden = {
-    {"l2s|handoff|crash-recover", "11b4c0d9d07d5636"},
-    {"lard|backend|rack", "508b282a38d9c7c3"},
-    {"l2s|overload", "681e2ee18a98bd12"},
+    {"l2s|handoff|crash-recover", "f29228362a5638c2"},
+    {"lard|backend|rack", "df56b69bfb37d4a4"},
+    {"l2s|overload", "6c07a442fdb2cb29"},
     {"trad|reject", "f3f5743769980ea4"},
 };
 
@@ -130,7 +130,11 @@ const std::vector<std::pair<std::string, std::string>> kStreamGolden = {
 // Three cells moved once more when CPU busy time began to count the elapsed
 // part of the job in service, which moves per-window node.cpu_utilization
 // in the timeseries export; with the timeseries left out of the hash, every
-// cell's digest was unchanged.
+// cell's digest was unchanged. The three persistent-connection cells moved
+// once more when follow-on requests began to stamp their own decision time
+// and back-end fetches their service and storage times; with the four stage
+// folds of the result digest and the spans export's four stage columns
+// masked, every cell's digest was unchanged.
 TEST(GoldenResults, ObserverStreamsMatchRecordedDigests) {
   const auto tr = stream_trace();
   const auto cells = stream_cells();

@@ -3,10 +3,13 @@
 // forwarding when the content lives elsewhere.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/policy/lard.hpp"
 #include "l2sim/policy/traditional.hpp"
+#include "l2sim/telemetry/registry.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
 namespace l2s::core {
@@ -146,6 +149,41 @@ TEST(Persistent, DeterministicAcrossRuns) {
   EXPECT_EQ(ra.connections, rb.connections);
   EXPECT_EQ(ra.migrations, rb.migrations);
   EXPECT_DOUBLE_EQ(ra.throughput_rps, rb.throughput_rps);
+}
+
+// Every request of a persistent connection passes its four stages in order
+// (entry, hand-off, storage, reply), whether it stays put, moves with a
+// hand-off or is fetched from a back end: a follow-on request stamps its
+// own decision, and a back-end fetch its owner's lookup and disk read, so
+// no stage reuses a timestamp of the connection's first request.
+TEST(Persistent, EverySpanHasFourNonNegativeStages) {
+  const auto tr = workload();
+  for (const auto mode :
+       {PersistentMode::kConnectionHandoff, PersistentMode::kBackendForwarding}) {
+    for (const auto kind : {PolicyKind::kTraditional, PolicyKind::kLard, PolicyKind::kL2s}) {
+      SCOPED_TRACE(std::string(policy_kind_name(kind)) +
+                   (mode == PersistentMode::kBackendForwarding ? " backend" : " handoff"));
+      SimConfig cfg = persistent_config(4, 4.0, mode);
+      cfg.telemetry.enabled = true;
+      cfg.telemetry.span_sample_every = 1;
+      cfg.telemetry.span_capacity = 1 << 14;
+      const auto r = run_once(tr, cfg, kind);
+      ASSERT_EQ(r.failed, 0u);
+      ASSERT_NE(r.telemetry, nullptr);
+      ASSERT_EQ(r.telemetry->spans.size(), r.completed);
+      std::size_t negative = 0;
+      for (const auto& s : r.telemetry->spans) {
+        if (s.entry_ms() < 0.0 || s.forward_ms() < 0.0 || s.disk_ms() < 0.0 ||
+            s.reply_ms() < 0.0)
+          ++negative;
+      }
+      EXPECT_EQ(negative, 0u);
+      EXPECT_GE(r.stage_entry_ms, 0.0);
+      EXPECT_GE(r.stage_forward_ms, 0.0);
+      EXPECT_GE(r.stage_disk_ms, 0.0);
+      EXPECT_GE(r.stage_reply_ms, 0.0);
+    }
+  }
 }
 
 TEST(Persistent, ConfigValidation) {
