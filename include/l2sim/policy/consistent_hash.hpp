@@ -45,7 +45,7 @@ class ConsistentHashPolicy final : public Policy {
   int virtual_nodes_;
   ClusterContext ctx_;
   std::map<std::uint64_t, int> ring_;  ///< hash point -> node
-  std::vector<int> alive_entries_;
+  DnsRotation dns_;
   std::uint64_t rotation_ = 0;
 };
 

@@ -106,7 +106,7 @@ class L2sPolicy final : public Policy {
   std::vector<NodeState> states_;
   ServerSetMap sets_;  ///< replica n is node n's copy of the server sets
   std::vector<int> all_nodes_;
-  std::vector<int> alive_entries_;  ///< DNS rotation after failures (empty = all)
+  DnsRotation dns_;
   std::uint64_t rng_state_ = 0x2545f4914f6cdd1dULL;
   SimTime shrink_ns_ = 0;
   int brownout_level_ = 0;

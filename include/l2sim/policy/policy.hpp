@@ -42,6 +42,29 @@ struct ClusterContext {
   [[nodiscard]] cluster::Node& node(int i) const { return *nodes[static_cast<std::size_t>(i)]; }
 };
 
+/// Round-robin DNS over the nodes it believes alive, shared by the
+/// DNS-fronted policies: a failed node leaves the rotation and a recovered
+/// one rejoins it. While every node is down the rotation keeps answering
+/// with the last node to go down, so clients fail fast against it, and the
+/// first recovery ends that state.
+class DnsRotation {
+ public:
+  /// Every node in [0, nodes) in rotation.
+  void reset(int nodes);
+
+  /// Entry node of the `seq`-th client connection.
+  [[nodiscard]] int pick(std::uint64_t seq) const;
+  /// Whether DNS hands out `node`'s address.
+  [[nodiscard]] bool contains(int node) const;
+
+  void remove(int node);
+  void add(int node);
+
+ private:
+  std::vector<int> alive_;  ///< sorted
+  int last_down_ = -1;      ///< answered while `alive_` is empty
+};
+
 class Policy {
  public:
   virtual ~Policy() = default;

@@ -14,7 +14,7 @@ class RoundRobinPolicy final : public Policy {
  public:
   [[nodiscard]] const char* name() const override { return "rr-dns"; }
 
-  void attach(const ClusterContext& ctx) override { ctx_ = ctx; }
+  void attach(const ClusterContext& ctx) override;
 
   [[nodiscard]] int entry_node(std::uint64_t seq, const trace::Request& r) override;
   [[nodiscard]] int select_service_node(int entry, const trace::Request& r) override;
@@ -32,9 +32,8 @@ class RoundRobinPolicy final : public Policy {
   void on_node_recovered(int node) override;
 
  private:
-  ClusterContext ctx_;
   std::uint64_t rotation_ = 0;
-  std::vector<int> alive_;
+  DnsRotation dns_;
 };
 
 }  // namespace l2s::policy

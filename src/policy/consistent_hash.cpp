@@ -1,7 +1,5 @@
 #include "l2sim/policy/consistent_hash.hpp"
 
-#include <algorithm>
-
 #include "l2sim/common/error.hpp"
 
 namespace l2s::policy {
@@ -29,7 +27,7 @@ ConsistentHashPolicy::ConsistentHashPolicy(int virtual_nodes)
 void ConsistentHashPolicy::attach(const ClusterContext& ctx) {
   ctx_ = ctx;
   ring_.clear();
-  alive_entries_.clear();
+  dns_.reset(ctx.node_count());
   for (int n = 0; n < ctx.node_count(); ++n) add_points(n);
 }
 
@@ -38,9 +36,7 @@ void ConsistentHashPolicy::add_points(int node) {
 }
 
 int ConsistentHashPolicy::entry_node(std::uint64_t seq, const trace::Request& /*r*/) {
-  if (alive_entries_.empty())
-    return static_cast<int>((seq + rotation_) % static_cast<std::uint64_t>(ctx_.node_count()));
-  return alive_entries_[static_cast<std::size_t>((seq + rotation_) % alive_entries_.size())];
+  return dns_.pick(seq + rotation_);
 }
 
 void ConsistentHashPolicy::on_pass_start(int pass) {
@@ -67,19 +63,12 @@ void ConsistentHashPolicy::on_node_failed(int node) {
   // Drop the node's ring points: its keys remap to the ring successors
   // (about 1/N of the key space), everyone else's mapping is untouched.
   for (int v = 0; v < virtual_nodes_; ++v) ring_.erase(ring_point(node, v));
-  if (alive_entries_.empty()) {
-    for (int n = 0; n < ctx_.node_count(); ++n) alive_entries_.push_back(n);
-  }
-  alive_entries_.erase(std::remove(alive_entries_.begin(), alive_entries_.end(), node),
-                       alive_entries_.end());
-  if (alive_entries_.empty()) alive_entries_.push_back(node);
+  dns_.remove(node);
 }
 
 void ConsistentHashPolicy::on_node_recovered(int node) {
   add_points(node);  // its keys come back from the ring successors
-  if (alive_entries_.empty()) return;  // no failure was ever detected: all in the DNS
-  const auto it = std::lower_bound(alive_entries_.begin(), alive_entries_.end(), node);
-  if (it == alive_entries_.end() || *it != node) alive_entries_.insert(it, node);
+  dns_.add(node);
 }
 
 }  // namespace l2s::policy

@@ -23,6 +23,7 @@ void L2sPolicy::attach(const ClusterContext& ctx) {
   ctx_ = ctx;
   states_.clear();
   sets_ = ServerSetMap(ctx.node_count());
+  dns_.reset(ctx.node_count());
   all_nodes_.clear();
   for (int n = 0; n < ctx.node_count(); ++n) {
     NodeState& st = states_.emplace_back();
@@ -35,18 +36,12 @@ void L2sPolicy::attach(const ClusterContext& ctx) {
 int L2sPolicy::entry_node(std::uint64_t seq, const trace::Request& /*r*/) {
   // Round-robin DNS: clients spread connections over the nodes blindly.
   // After a failure is detected, DNS drops the dead node from rotation.
-  if (alive_entries_.empty()) return static_cast<int>(seq % static_cast<std::uint64_t>(ctx_.node_count()));
-  return alive_entries_[static_cast<std::size_t>(seq % alive_entries_.size())];
+  return dns_.pick(seq);
 }
 
 void L2sPolicy::on_node_failed(int node) {
   for (int n = 0; n < ctx_.node_count(); ++n) state(n).view.set(node, kDeadLoad);
-  if (alive_entries_.empty()) {
-    for (int n = 0; n < ctx_.node_count(); ++n) alive_entries_.push_back(n);
-  }
-  alive_entries_.erase(std::remove(alive_entries_.begin(), alive_entries_.end(), node),
-                       alive_entries_.end());
-  if (alive_entries_.empty()) alive_entries_.push_back(node);
+  dns_.remove(node);
 }
 
 void L2sPolicy::on_node_recovered(int node) {
@@ -60,20 +55,11 @@ void L2sPolicy::on_node_recovered(int node) {
   sets_.clear(node);
   st.view = cluster::LoadView(ctx_.node_count());
   st.throttle = cluster::BroadcastThrottle(params_.broadcast_delta);
-  if (!alive_entries_.empty()) {
-    for (int m = 0; m < ctx_.node_count(); ++m) {
-      if (m == node) continue;
-      if (std::find(alive_entries_.begin(), alive_entries_.end(), m) ==
-          alive_entries_.end())
-        st.view.set(m, kDeadLoad);
-    }
-    // DNS puts the node back in rotation (alive_entries_ stays sorted).
-    if (std::find(alive_entries_.begin(), alive_entries_.end(), node) ==
-        alive_entries_.end())
-      alive_entries_.insert(
-          std::upper_bound(alive_entries_.begin(), alive_entries_.end(), node),
-          node);
+  for (int m = 0; m < ctx_.node_count(); ++m) {
+    if (m != node && !dns_.contains(m)) st.view.set(m, kDeadLoad);
   }
+  // DNS puts the node back in rotation.
+  dns_.add(node);
 }
 
 int L2sPolicy::pick_low(const cluster::LoadView& view, const std::vector<int>& candidates) {

@@ -1,31 +1,16 @@
 #include "l2sim/policy/round_robin.hpp"
 
-#include <algorithm>
-
 namespace l2s::policy {
 
+void RoundRobinPolicy::attach(const ClusterContext& ctx) { dns_.reset(ctx.node_count()); }
+
 int RoundRobinPolicy::entry_node(std::uint64_t seq, const trace::Request& /*r*/) {
-  if (alive_.empty()) {
-    for (int n = 0; n < ctx_.node_count(); ++n) alive_.push_back(n);
-  }
-  const std::size_t pick =
-      static_cast<std::size_t>((seq + rotation_) % alive_.size());
-  return alive_[pick];
+  return dns_.pick(seq + rotation_);
 }
 
-void RoundRobinPolicy::on_node_failed(int node) {
-  if (alive_.empty()) {
-    for (int n = 0; n < ctx_.node_count(); ++n) alive_.push_back(n);
-  }
-  alive_.erase(std::remove(alive_.begin(), alive_.end(), node), alive_.end());
-  if (alive_.empty()) alive_.push_back(node);  // nothing left: keep failing fast
-}
+void RoundRobinPolicy::on_node_failed(int node) { dns_.remove(node); }
 
-void RoundRobinPolicy::on_node_recovered(int node) {
-  if (alive_.empty()) return;  // no failure was ever detected: all in rotation
-  if (std::find(alive_.begin(), alive_.end(), node) != alive_.end()) return;
-  alive_.insert(std::upper_bound(alive_.begin(), alive_.end(), node), node);
-}
+void RoundRobinPolicy::on_node_recovered(int node) { dns_.add(node); }
 
 void RoundRobinPolicy::on_pass_start(int pass) {
   // A phase coprime to common cluster sizes decorrelates the passes.

@@ -164,6 +164,48 @@ TEST(Failures, EveryPolicyChoosesARecoveredNodeAgain) {
   }
 }
 
+// After every node of the cluster fails, each DNS-fronted policy keeps
+// handing out the last node to go down, so clients fail fast. The first
+// node to recover then takes every entry, and L2S's rejoining node marks
+// every other node dead in its fresh load view.
+TEST(Failures, DnsRotationRecoversFromATotalOutage) {
+  constexpr int kNodes = 8;
+  constexpr int kRecovered = 5;
+  constexpr int kChoices = 64;
+  for (const PolicyKind kind :
+       {PolicyKind::kL2s, PolicyKind::kRoundRobin, PolicyKind::kConsistentHash}) {
+    SCOPED_TRACE(policy_kind_name(kind));
+    testing::PolicyFixture f(kNodes);
+    const auto policy = make_policy(kind);
+    policy->attach(f.ctx);
+    const trace::Request r = testing::PolicyFixture::request_for(0);
+    for (int n = 0; n < kNodes; ++n) {
+      f.nodes[static_cast<std::size_t>(n)]->fail();
+      policy->on_node_failed(n);
+    }
+    int to_last_down = 0;
+    for (std::uint64_t seq = 0; seq < kChoices; ++seq)
+      to_last_down += policy->entry_node(seq, r) == kNodes - 1 ? 1 : 0;
+    EXPECT_EQ(to_last_down, kChoices);
+
+    f.nodes[kRecovered]->recover();
+    policy->on_node_recovered(kRecovered);
+    int to_recovered = 0;
+    for (std::uint64_t seq = 0; seq < kChoices; ++seq)
+      to_recovered += policy->entry_node(seq, r) == kRecovered ? 1 : 0;
+    EXPECT_EQ(to_recovered, kChoices);
+
+    if (kind == PolicyKind::kL2s) {
+      const auto& l2s = dynamic_cast<const policy::L2sPolicy&>(*policy);
+      for (int m = 0; m < kNodes; ++m) {
+        if (m == kRecovered) continue;
+        // Dead peers read as infinitely loaded; a live one starts at 0.
+        EXPECT_GT(l2s.view_of(kRecovered, m), 1 << 20) << "node " << m;
+      }
+    }
+  }
+}
+
 TEST(Failures, NoFailuresMeansNoFailedRequests) {
   const auto tr = workload(2000);
   SimConfig cfg;
