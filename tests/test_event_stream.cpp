@@ -3,10 +3,11 @@
 // the exports built from it on cells that reach every record kind, and
 // checks that SimResult's counters count exactly those records.
 //
-// Regenerating the stream digests (only after an intentional behaviour
-// change):
+// Regenerating the stream and Chrome-trace digests (only after an
+// intentional behaviour change):
 //   L2SIM_GOLDEN_PRINT=1 ./build/tests/l2sim_tests
-//       --gtest_filter='GoldenResults.ObserverStreams*' 2>&1 | grep GOLDEN
+//       --gtest_filter='GoldenResults.ObserverStreams*:GoldenResults.ChromeTraces*'
+//       2>&1 | grep GOLDEN
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -179,6 +180,40 @@ TEST(GoldenResults, ObserverStreamsMatchRecordedDigests) {
   }
   // Together the cells reach every original kind.
   EXPECT_EQ(kinds_seen, (1ULL << (kLastOriginalKind + 1)) - 1);
+}
+
+// Recorded while the probe still kept one sample series per metric and
+// node, before its samples became one table.
+const std::vector<std::pair<std::string, std::string>> kTraceGolden = {
+    {"l2s|handoff|crash-recover", "2c5ec3d8fed0c61b"},
+    {"lard|backend|rack", "e5bf16eeb7269c43"},
+    {"l2s|overload", "739f67b092485c58"},
+    {"trad|reject", "567b65f5e3e6892e"},
+};
+
+// The Chrome trace of each stream cell: per-node metadata, span slices,
+// failure and fault instants and the timeline probe's counter tracks.
+TEST(GoldenResults, ChromeTracesMatchRecordedDigests) {
+  const auto tr = stream_trace();
+  const auto cells = stream_cells();
+  ASSERT_EQ(cells.size(), kTraceGolden.size());
+  const bool print = std::getenv("L2SIM_GOLDEN_PRINT") != nullptr;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& c = cells[i];
+    const auto r = run_once(tr, c.cfg, c.kind);
+    ASSERT_NE(r.telemetry, nullptr) << c.name;
+    std::ostringstream out;
+    telemetry::write_chrome_trace(out, *r.telemetry);
+    EXPECT_NE(out.str().find("\"ph\":\"C\""), std::string::npos) << c.name;
+    testing::Fnv h;
+    h.text(out.str());
+    if (print) {
+      std::printf("GOLDEN    {\"%s\", \"%s\"},\n", c.name.c_str(), h.hex().c_str());
+      continue;
+    }
+    EXPECT_EQ(c.name, kTraceGolden[i].first);
+    EXPECT_EQ(h.hex(), kTraceGolden[i].second) << c.name;
+  }
 }
 
 // Every SimResult counter is a count of measured-pass records: the stream
