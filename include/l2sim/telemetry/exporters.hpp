@@ -18,10 +18,10 @@ namespace l2s::telemetry {
 /// Chrome trace-event JSON (the "traceEvents" array format). Spans become
 /// "X" complete events on per-node resource tracks (entry / hand-off /
 /// storage / reply), fault transitions and failed requests become instant
-/// events, and probe series become "C" counter tracks. Timestamps are
-/// microseconds (SimTime ns / 1000). `extra_events` are pre-rendered JSON
-/// event objects (e.g. from obs::decision_chrome_events) spliced into the
-/// traceEvents array.
+/// events, and the probe's timeline columns become "C" counter tracks.
+/// Timestamps are microseconds (SimTime ns / 1000). `extra_events` are
+/// pre-rendered JSON event objects (e.g. from obs::decision_chrome_events)
+/// spliced into the traceEvents array.
 void write_chrome_trace(std::ostream& out, const Snapshot& snapshot,
                         const std::vector<std::string>& extra_events);
 void write_chrome_trace(std::ostream& out, const Snapshot& snapshot);
@@ -30,7 +30,7 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snapshot);
 /// name,labels,kind,count,value,min,max rows.
 void write_metrics_csv(std::ostream& out, const Snapshot& snapshot);
 
-/// Time-series metrics (bucket + sample series) as long-format
+/// The probe's timeline, then the bucket series, as long-format
 /// name,labels,time_s,value rows.
 void write_timeseries_csv(std::ostream& out, const Snapshot& snapshot);
 

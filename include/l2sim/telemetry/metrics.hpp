@@ -1,13 +1,14 @@
-// Telemetry metric value types: counters, gauges, log-linear histograms and
-// two time-series shapes (bucketed counters and point samples). They are
-// plain value classes — usable standalone (stats::AvailabilityTracker keeps
-// its goodput timeline in a BucketSeries) or named and labeled inside a
+// Telemetry metric value types: counters, gauges, log-linear histograms,
+// bucketed time series and the timeline probe's table. They are plain
+// value classes — usable standalone (stats::AvailabilityTracker keeps its
+// goodput timeline in a BucketSeries) or named and labeled inside a
 // telemetry::Registry. Every type supports cheap snapshot/merge semantics
 // so run_parallel can aggregate per-job registries deterministically.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,19 +108,51 @@ class BucketSeries {
   std::vector<double> buckets_;
 };
 
-/// Point samples (t, value): the timeline-probe shape (queue depths, cache
-/// occupancy, utilization). Merging appends the other series' points.
-class SampleSeries {
+/// The timeline probe's samples, one row per load-sampler tick: a time
+/// column, a via.in_flight column and one 32-byte entry per node, so a
+/// tick costs 16 + 32·N bytes for N nodes. One table holds one run; runs
+/// of different cluster sizes cannot share one, so a Snapshot keeps a list.
+class Timeline {
  public:
-  void add(SimTime t, double value);
-  [[nodiscard]] const std::vector<std::pair<SimTime, double>>& points() const {
-    return points_;
+  /// One node at one tick.
+  struct Node {
+    std::uint32_t open_connections = 0;
+    std::uint32_t cpu_queue = 0;
+    std::uint32_t disk_queue = 0;
+    std::uint32_t nic_tx_queue = 0;
+    Bytes cache_used = 0;
+    double cpu_utilization = 0.0;  ///< busy share of the window since the last tick
+
+    bool operator==(const Node&) const = default;
+  };
+
+  explicit Timeline(int nodes);
+
+  /// Append tick `t` and return its nodes() entries, zeroed, to fill in.
+  [[nodiscard]] std::span<Node> append(SimTime t, std::uint64_t via_in_flight);
+
+  [[nodiscard]] int nodes() const { return nodes_; }
+  [[nodiscard]] std::size_t ticks() const { return times_.size(); }
+  [[nodiscard]] SimTime time(std::size_t tick) const { return times_[tick]; }
+  [[nodiscard]] std::uint64_t via_in_flight(std::size_t tick) const {
+    return via_in_flight_[tick];
   }
-  void merge(const SampleSeries& other);
-  void reset() { points_.clear(); }
+  [[nodiscard]] const Node& node(std::size_t tick, int n) const {
+    return rows_[tick * static_cast<std::size_t>(nodes_) + static_cast<std::size_t>(n)];
+  }
+
+  /// Heap bytes the table holds: its columns' capacity.
+  [[nodiscard]] std::size_t bytes() const;
+
+  bool operator==(const Timeline&) const = default;
 
  private:
-  std::vector<std::pair<SimTime, double>> points_;
+  int nodes_ = 0;
+  std::vector<SimTime> times_;
+  std::vector<std::uint64_t> via_in_flight_;
+  std::vector<Node> rows_;  ///< tick-major: (tick, n) at tick * nodes_ + n
 };
+
+static_assert(sizeof(Timeline::Node) == 32);
 
 }  // namespace l2s::telemetry

@@ -1,8 +1,9 @@
 // telemetry::Registry — named, labeled metrics with stable registration
 // order, plus the value-type Snapshot that carries a run's telemetry out of
-// the simulation (metrics, sampled spans, fault timeline). Snapshots merge
-// deterministically, which is what lets run_parallel aggregate per-job
-// registries in job-index order with no shared mutable state.
+// the simulation (metrics, the probe's timeline, sampled spans, fault
+// timeline). Snapshots merge deterministically, which is what lets
+// run_parallel aggregate per-job registries in job-index order with no
+// shared mutable state.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@ enum class MetricKind : std::uint8_t {
   kGauge,
   kHistogram,
   kBucketSeries,
-  kSampleSeries,
 };
 
 [[nodiscard]] constexpr const char* metric_kind_name(MetricKind k) {
@@ -30,7 +30,6 @@ enum class MetricKind : std::uint8_t {
     case MetricKind::kGauge: return "gauge";
     case MetricKind::kHistogram: return "histogram";
     case MetricKind::kBucketSeries: return "bucket_series";
-    case MetricKind::kSampleSeries: return "sample_series";
   }
   return "?";
 }
@@ -51,15 +50,16 @@ struct MetricSnapshot {
   SimTime series_start = 0;     ///< bucket series timebase
   SimTime series_interval = 0;  ///< 0 = never begun
   std::vector<double> series_buckets;
-
-  std::vector<std::pair<SimTime, double>> samples;  ///< sample series points
 };
 
 /// Everything one run's telemetry produced, detached from the simulation.
 struct Snapshot {
   int nodes = 0;  ///< cluster size (exporters need it for per-node tracks)
   std::vector<MetricSnapshot> metrics;  ///< registration order
-  std::vector<Span> spans;              ///< sampled spans, oldest first
+  /// The timeline probe's table of each run, in merge order (empty with
+  /// the probe off).
+  std::vector<Timeline> timelines;
+  std::vector<Span> spans;  ///< sampled spans, oldest first
   std::vector<FaultEvent> fault_events;
 
   std::uint64_t span_sample_every = 0;
@@ -71,9 +71,9 @@ struct Snapshot {
                                            const Labels& labels = {}) const;
 
   /// Merge `other` into this snapshot: counters and histogram/series
-  /// buckets sum, gauges keep extrema, spans and fault events append in
-  /// call order. Callers merging a batch iterate it in a fixed order
-  /// (run_parallel: job-index order) to stay deterministic.
+  /// buckets sum, gauges keep extrema, timelines, spans and fault events
+  /// append in call order. Callers merging a batch iterate it in a fixed
+  /// order (run_parallel: job-index order) to stay deterministic.
   void merge(const Snapshot& other);
 };
 
@@ -93,13 +93,12 @@ class Registry {
   Gauge& gauge(const std::string& name, const Labels& labels = {});
   Histogram& histogram(const std::string& name, const Labels& labels = {});
   BucketSeries& bucket_series(const std::string& name, const Labels& labels = {});
-  SampleSeries& sample_series(const std::string& name, const Labels& labels = {});
 
   [[nodiscard]] std::size_t metric_count() const { return order_.size(); }
 
-  /// Copy every metric out, in registration order. Spans and fault events
-  /// are owned by the recorder, not the registry; SimTelemetry::snapshot()
-  /// fills those in.
+  /// Copy every metric out, in registration order. The timeline, spans and
+  /// fault events are not the registry's; SimTelemetry::snapshot() fills
+  /// those in.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Zero every value; registrations (names, labels, shapes) survive.
@@ -123,7 +122,6 @@ class Registry {
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
   std::deque<BucketSeries> bucket_series_;
-  std::deque<SampleSeries> sample_series_;
 };
 
 }  // namespace l2s::telemetry

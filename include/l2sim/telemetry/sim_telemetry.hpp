@@ -36,7 +36,8 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
   SimTelemetry(const core::engine::EngineContext& ctx, const TelemetryConfig& config,
                const core::engine::MetricsCollector& tally);
 
-  /// Arm the measured pass: anchors the probe's utilization differentiation.
+  /// Arm the measured pass: the probe starts recording, with its
+  /// utilization differentiation anchored at `measure_start`.
   void begin_measurement(SimTime measure_start);
 
   /// End of warm-up: drop everything observed so far, keep registrations.
@@ -44,10 +45,13 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
 
   [[nodiscard]] Registry& registry() { return registry_; }
   [[nodiscard]] const SpanRecorder& spans() const { return spans_; }
+  /// The timeline probe, or nullptr with TelemetryConfig::probe off.
+  [[nodiscard]] const TimelineProbe* probe() const { return probe_.get(); }
 
   /// Publish the collector's tally, then detach the run's telemetry:
-  /// registry metrics + sampled spans + fault timeline, ready for
-  /// exporters or cross-job merging.
+  /// registry metrics + the probe's timeline (moved out, not copied) +
+  /// sampled spans + fault timeline, ready for exporters or cross-job
+  /// merging.
   [[nodiscard]] Snapshot snapshot();
 
   void on_event(const obs::DecisionRecord& record, const cluster::Connection* conn) override;
@@ -67,6 +71,7 @@ class SimTelemetry final : public core::engine::LifecycleObserver {
   Registry registry_;
   SpanRecorder spans_;
   std::unique_ptr<TimelineProbe> probe_;
+  std::vector<TimelineProbe::Reading> readings_;  ///< one per node, reused every tick
   std::vector<FaultEvent> fault_events_;
   std::uint32_t fault_epoch_ = 0;
 

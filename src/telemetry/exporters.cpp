@@ -1,9 +1,9 @@
 #include "l2sim/telemetry/exporters.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "l2sim/common/error.hpp"
 #include "l2sim/common/table.hpp"
@@ -13,28 +13,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Small formatting helpers.
-
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0') << static_cast<int>(c);
-          out += esc.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 [[nodiscard]] std::string labels_to_string(const Labels& labels) {
   std::string out;
@@ -55,12 +33,49 @@ namespace {
   return s.service_node >= 0 ? s.service_node : s.entry_node;
 }
 
-/// Node id of a per-node metric ("node" label), or -1.
-[[nodiscard]] int node_of(const Labels& labels) {
-  for (const auto& [k, v] : labels) {
-    if (k == "node") return std::stoi(v);
+/// The timeline's per-node columns under their export names, in export
+/// order.
+struct TimelineColumn {
+  const char* name;
+  double (*value)(const Timeline::Node&);
+};
+
+constexpr TimelineColumn kTimelineColumns[] = {
+    {"node.open_connections",
+     [](const Timeline::Node& n) { return static_cast<double>(n.open_connections); }},
+    {"node.cpu_queue", [](const Timeline::Node& n) { return static_cast<double>(n.cpu_queue); }},
+    {"node.disk_queue",
+     [](const Timeline::Node& n) { return static_cast<double>(n.disk_queue); }},
+    {"node.nic_tx_queue",
+     [](const Timeline::Node& n) { return static_cast<double>(n.nic_tx_queue); }},
+    {"node.cache_used_bytes",
+     [](const Timeline::Node& n) { return static_cast<double>(n.cache_used); }},
+    {"node.cpu_utilization", [](const Timeline::Node& n) { return n.cpu_utilization; }},
+};
+
+/// Visit every timeline sample in export order: node by node, each column
+/// in turn with its ticks from every run in merge order, then
+/// via.in_flight. `visit(name, node, t, value)` sees node -1 for
+/// via.in_flight.
+template <typename Visit>
+void for_each_timeline_sample(const std::vector<Timeline>& timelines, Visit&& visit) {
+  int nodes = 0;
+  for (const Timeline& tl : timelines) nodes = std::max(nodes, tl.nodes());
+  for (int n = 0; n < nodes; ++n) {
+    for (const TimelineColumn& column : kTimelineColumns) {
+      for (const Timeline& tl : timelines) {
+        if (n >= tl.nodes()) continue;
+        for (std::size_t k = 0; k < tl.ticks(); ++k) {
+          visit(column.name, n, tl.time(k), column.value(tl.node(k, n)));
+        }
+      }
+    }
   }
-  return -1;
+  for (const Timeline& tl : timelines) {
+    for (std::size_t k = 0; k < tl.ticks(); ++k) {
+      visit("via.in_flight", -1, tl.time(k), static_cast<double>(tl.via_in_flight(k)));
+    }
+  }
 }
 
 class JsonEventWriter {
@@ -140,17 +155,12 @@ void write_chrome_trace(std::ostream& out, const Snapshot& snapshot,
              << ",\"tid\":0,\"ts\":" << to_us(ev.at) << "}";
   }
 
-  // Probe series become counter tracks on their node's process.
-  for (const MetricSnapshot& m : snapshot.metrics) {
-    if (m.kind != MetricKind::kSampleSeries) continue;
-    const int node = node_of(m.labels);
-    const int pid = node >= 0 ? node : 0;
-    const std::string name = json_escape(m.name);
-    for (const auto& [t, v] : m.samples) {
-      w.next() << "{\"ph\":\"C\",\"name\":\"" << name << "\",\"pid\":" << pid
-               << ",\"ts\":" << to_us(t) << ",\"args\":{\"value\":" << v << "}}";
-    }
-  }
+  // Timeline columns become counter tracks on their node's process.
+  for_each_timeline_sample(snapshot.timelines, [&](const char* name, int node, SimTime t,
+                                                   double v) {
+    w.next() << "{\"ph\":\"C\",\"name\":\"" << name << "\",\"pid\":" << (node >= 0 ? node : 0)
+             << ",\"ts\":" << to_us(t) << ",\"args\":{\"value\":" << v << "}}";
+  });
 
   for (const std::string& ev : extra_events) w.next() << ev;
 
@@ -165,7 +175,7 @@ void write_metrics_csv(std::ostream& out, const Snapshot& snapshot) {
   out << "name,labels,kind,count,value,min,max,p50,p95,p99\n";
   out << std::setprecision(15);
   for (const MetricSnapshot& m : snapshot.metrics) {
-    if (m.kind == MetricKind::kBucketSeries || m.kind == MetricKind::kSampleSeries) continue;
+    if (m.kind == MetricKind::kBucketSeries) continue;
     out << m.name << ',' << labels_to_string(m.labels) << ',' << metric_kind_name(m.kind)
         << ',' << m.count << ',';
     switch (m.kind) {
@@ -189,18 +199,18 @@ void write_metrics_csv(std::ostream& out, const Snapshot& snapshot) {
 void write_timeseries_csv(std::ostream& out, const Snapshot& snapshot) {
   out << "name,labels,time_s,value\n";
   out << std::setprecision(15);
+  for_each_timeline_sample(snapshot.timelines, [&](const char* name, int node, SimTime t,
+                                                   double v) {
+    out << name << ',';
+    if (node >= 0) out << "node=" << node;
+    out << ',' << simtime_to_seconds(t) << ',' << v << '\n';
+  });
   for (const MetricSnapshot& m : snapshot.metrics) {
-    if (m.kind == MetricKind::kBucketSeries) {
-      for (std::size_t i = 0; i < m.series_buckets.size(); ++i) {
-        const SimTime t = m.series_start + static_cast<SimTime>(i) * m.series_interval;
-        out << m.name << ',' << labels_to_string(m.labels) << ','
-            << simtime_to_seconds(t) << ',' << m.series_buckets[i] << '\n';
-      }
-    } else if (m.kind == MetricKind::kSampleSeries) {
-      for (const auto& [t, v] : m.samples) {
-        out << m.name << ',' << labels_to_string(m.labels) << ',' << simtime_to_seconds(t)
-            << ',' << v << '\n';
-      }
+    if (m.kind != MetricKind::kBucketSeries) continue;
+    for (std::size_t i = 0; i < m.series_buckets.size(); ++i) {
+      const SimTime t = m.series_start + static_cast<SimTime>(i) * m.series_interval;
+      out << m.name << ',' << labels_to_string(m.labels) << ',' << simtime_to_seconds(t)
+          << ',' << m.series_buckets[i] << '\n';
     }
   }
 }

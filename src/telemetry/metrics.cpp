@@ -139,10 +139,21 @@ void BucketSeries::merge(const BucketSeries& other) {
 
 void BucketSeries::reset() { buckets_.clear(); }
 
-void SampleSeries::add(SimTime t, double value) { points_.emplace_back(t, value); }
+Timeline::Timeline(int nodes) : nodes_(nodes) {
+  if (nodes < 0) throw std::invalid_argument("Timeline: negative node count");
+}
 
-void SampleSeries::merge(const SampleSeries& other) {
-  points_.insert(points_.end(), other.points_.begin(), other.points_.end());
+std::span<Timeline::Node> Timeline::append(SimTime t, std::uint64_t via_in_flight) {
+  times_.push_back(t);
+  via_in_flight_.push_back(via_in_flight);
+  const std::size_t first = rows_.size();
+  rows_.resize(first + static_cast<std::size_t>(nodes_));
+  return {rows_.data() + first, static_cast<std::size_t>(nodes_)};
+}
+
+std::size_t Timeline::bytes() const {
+  return times_.capacity() * sizeof(SimTime) +
+         via_in_flight_.capacity() * sizeof(std::uint64_t) + rows_.capacity() * sizeof(Node);
 }
 
 }  // namespace l2s::telemetry

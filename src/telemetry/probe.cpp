@@ -1,65 +1,61 @@
 #include "l2sim/telemetry/probe.hpp"
 
 #include <string>
+#include <utility>
+
+#include "l2sim/common/error.hpp"
 
 namespace l2s::telemetry {
 namespace {
 
-[[nodiscard]] Labels node_label(int node) {
-  return Labels{{"node", std::to_string(node)}};
+template <typename T>
+[[nodiscard]] std::uint32_t narrow(T value) {
+  L2S_REQUIRE(std::in_range<std::uint32_t>(value));
+  return static_cast<std::uint32_t>(value);
 }
 
 }  // namespace
 
 TimelineProbe::TimelineProbe(Registry& registry, int nodes)
-    : registry_(registry), nodes_(nodes), last_busy_(static_cast<std::size_t>(nodes), 0) {
-  open_connections_.reserve(static_cast<std::size_t>(nodes));
+    : timeline_(nodes), last_busy_(static_cast<std::size_t>(nodes), 0) {
+  peak_queue_.reserve(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
-    const Labels labels = node_label(n);
-    open_connections_.push_back(&registry_.sample_series("node.open_connections", labels));
-    cpu_queue_.push_back(&registry_.sample_series("node.cpu_queue", labels));
-    disk_queue_.push_back(&registry_.sample_series("node.disk_queue", labels));
-    nic_tx_queue_.push_back(&registry_.sample_series("node.nic_tx_queue", labels));
-    cache_used_.push_back(&registry_.sample_series("node.cache_used_bytes", labels));
-    utilization_.push_back(&registry_.sample_series("node.cpu_utilization", labels));
-    peak_queue_.push_back(&registry_.gauge("node.peak_cpu_queue", labels));
+    peak_queue_.push_back(&registry.gauge("node.peak_cpu_queue", {{"node", std::to_string(n)}}));
   }
-  via_in_flight_ = &registry_.sample_series("via.in_flight");
 }
 
 void TimelineProbe::begin(SimTime start) {
+  recording_ = true;
   last_now_ = start;
   last_busy_.assign(last_busy_.size(), 0);
 }
 
-void TimelineProbe::record(const ClusterSample& sample) {
-  const auto n = std::min(sample.nodes.size(), static_cast<std::size_t>(nodes_));
-  const SimTime window = sample.now - last_now_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ClusterSample::Node& node = sample.nodes[i];
-    open_connections_[i]->add(sample.now, static_cast<double>(node.open_connections));
-    cpu_queue_[i]->add(sample.now, static_cast<double>(node.cpu_queue));
-    disk_queue_[i]->add(sample.now, static_cast<double>(node.disk_queue));
-    nic_tx_queue_[i]->add(sample.now, static_cast<double>(node.nic_tx_queue));
-    cache_used_[i]->add(sample.now, static_cast<double>(node.cache_used));
-    peak_queue_[i]->set(static_cast<double>(node.cpu_queue));
+void TimelineProbe::record(SimTime now, std::uint64_t via_in_flight,
+                           std::span<const Reading> nodes) {
+  if (!recording_) return;
+  L2S_REQUIRE(nodes.size() == last_busy_.size());
+  const std::span<Timeline::Node> row = timeline_.append(now, via_in_flight);
+  const SimTime window = now - last_now_;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Reading& in = nodes[i];
+    Timeline::Node& out = row[i];
+    out.open_connections = narrow(in.open_connections);
+    out.cpu_queue = narrow(in.cpu_queue);
+    out.disk_queue = narrow(in.disk_queue);
+    out.nic_tx_queue = narrow(in.nic_tx_queue);
+    out.cache_used = in.cache_used;
+    peak_queue_[i]->set(static_cast<double>(in.cpu_queue));
 
     // Differentiate cumulative busy time into per-window utilization.
-    double util = 0.0;
     if (window > 0) {
-      const SimTime busy_delta = node.cpu_busy - last_busy_[i];
-      util = static_cast<double>(busy_delta) / static_cast<double>(window);
+      const SimTime busy_delta = in.cpu_busy - last_busy_[i];
+      out.cpu_utilization = static_cast<double>(busy_delta) / static_cast<double>(window);
     }
-    utilization_[i]->add(sample.now, util);
-    last_busy_[i] = node.cpu_busy;
+    last_busy_[i] = in.cpu_busy;
   }
-  via_in_flight_->add(sample.now, static_cast<double>(sample.via_in_flight));
-  last_now_ = sample.now;
+  last_now_ = now;
 }
 
-void TimelineProbe::reset() {
-  last_now_ = 0;
-  last_busy_.assign(last_busy_.size(), 0);
-}
+Timeline TimelineProbe::take() { return std::exchange(timeline_, Timeline(timeline_.nodes())); }
 
 }  // namespace l2s::telemetry

@@ -63,11 +63,6 @@ BucketSeries& Registry::bucket_series(const std::string& name, const Labels& lab
                          BucketSeries{});
 }
 
-SampleSeries& Registry::sample_series(const std::string& name, const Labels& labels) {
-  return get_or_register(name, labels, MetricKind::kSampleSeries, sample_series_,
-                         SampleSeries{});
-}
-
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   snap.metrics.reserve(order_.size());
@@ -103,12 +98,6 @@ Snapshot Registry::snapshot() const {
         m.count = s.buckets().size();
         break;
       }
-      case MetricKind::kSampleSeries: {
-        const SampleSeries& s = sample_series_[entry.index];
-        m.samples = s.points();
-        m.count = s.points().size();
-        break;
-      }
     }
     snap.metrics.push_back(std::move(m));
   }
@@ -120,7 +109,6 @@ void Registry::reset() {
   for (auto& g : gauges_) g.reset();
   for (auto& h : histograms_) h.reset();
   for (auto& s : bucket_series_) s.reset();
-  for (auto& s : sample_series_) s.reset();
 }
 
 const MetricSnapshot* Snapshot::find(const std::string& name, const Labels& labels) const {
@@ -136,6 +124,7 @@ void Snapshot::merge(const Snapshot& other) {
   span_sample_every = std::max(span_sample_every, other.span_sample_every);
   spans_recorded += other.spans_recorded;
   spans_overwritten += other.spans_overwritten;
+  timelines.insert(timelines.end(), other.timelines.begin(), other.timelines.end());
   spans.insert(spans.end(), other.spans.begin(), other.spans.end());
   fault_events.insert(fault_events.end(), other.fault_events.begin(),
                       other.fault_events.end());
@@ -193,11 +182,6 @@ void Snapshot::merge(const Snapshot& other) {
         mine->count = mine->series_buckets.size();
         break;
       }
-      case MetricKind::kSampleSeries:
-        mine->samples.insert(mine->samples.end(), theirs.samples.begin(),
-                             theirs.samples.end());
-        mine->count = mine->samples.size();
-        break;
     }
   }
 }

@@ -16,6 +16,7 @@ SimTelemetry::SimTelemetry(const core::engine::EngineContext& ctx,
   config_.validate();
   if (config_.probe) {
     probe_ = std::make_unique<TimelineProbe>(registry_, ctx_.cfg().nodes);
+    readings_.resize(static_cast<std::size_t>(ctx_.cfg().nodes));
   }
   publish_tally();
 }
@@ -57,13 +58,13 @@ void SimTelemetry::reset() {
   spans_.reset();
   fault_events_.clear();
   fault_epoch_ = 0;
-  if (probe_) probe_->reset();
 }
 
 Snapshot SimTelemetry::snapshot() {
   publish_tally();
   Snapshot snap = registry_.snapshot();
   snap.nodes = ctx_.cfg().nodes;
+  if (probe_) snap.timelines.push_back(probe_->take());
   snap.spans = spans_.chronological();
   snap.fault_events = fault_events_;
   snap.span_sample_every = config_.span_sample_every;
@@ -157,23 +158,18 @@ void SimTelemetry::record_span(const cluster::Connection& conn, SpanVerdict verd
 }
 
 void SimTelemetry::on_load_sample(SimTime now) {
-  if (!probe_) return;
-  ClusterSample sample;
-  sample.now = now;
-  sample.nodes.reserve(ctx_.nodes->size());
-  for (const auto& node : *ctx_.nodes) {
-    ClusterSample::Node ns;
-    ns.open_connections = node->open_connections();
-    ns.cpu_queue = node->cpu().queue_length();
-    ns.disk_queue = node->disk().resource().queue_length();
-    ns.nic_tx_queue = node->nic().tx().queue_length();
-    ns.cache_used = node->file_cache().used();
-    ns.cache_capacity = node->file_cache().capacity();
-    ns.cpu_busy = node->cpu().busy_time();
-    sample.nodes.push_back(ns);
+  if (!probe_ || !probe_->recording()) return;
+  for (std::size_t i = 0; i < readings_.size(); ++i) {
+    cluster::Node& node = *(*ctx_.nodes)[i];
+    TimelineProbe::Reading& r = readings_[i];
+    r.open_connections = node.open_connections();
+    r.cpu_queue = node.cpu().queue_length();
+    r.disk_queue = node.disk().resource().queue_length();
+    r.nic_tx_queue = node.nic().tx().queue_length();
+    r.cache_used = node.file_cache().used();
+    r.cpu_busy = node.cpu().busy_time();
   }
-  sample.via_in_flight = ctx_.via->in_flight();
-  probe_->record(sample);
+  probe_->record(now, ctx_.via->in_flight(), readings_);
 }
 
 void SimTelemetry::record_fault(FaultEvent::Kind kind, const obs::DecisionRecord& record) {

@@ -134,6 +134,10 @@ TEST(Parallel, TelemetryRidesEachJobWithoutSharing) {
     for (std::size_t j = 0; j < serial[i].telemetry->spans.size(); ++j) {
       EXPECT_TRUE(serial[i].telemetry->spans[j] == parallel[i].telemetry->spans[j]);
     }
+    // Each job's probe table, tick for tick.
+    ASSERT_EQ(serial[i].telemetry->timelines.size(), 1u) << i;
+    EXPECT_EQ(serial[i].telemetry->timelines.front().nodes(), jobs[i].sim.nodes) << i;
+    EXPECT_TRUE(serial[i].telemetry->timelines == parallel[i].telemetry->timelines) << i;
   }
 }
 
@@ -160,6 +164,13 @@ TEST(Parallel, TelemetryMergeIsDeterministicAcrossSchedules) {
     EXPECT_TRUE(serial_merged->spans[i] == parallel_merged->spans[i]);
   }
   EXPECT_EQ(serial_merged->spans_recorded, parallel_merged->spans_recorded);
+
+  // Timelines: one table per job, in job-index order, whatever its size.
+  ASSERT_EQ(serial_merged->timelines.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(serial_merged->timelines[i] == results[i].telemetry->timelines.front()) << i;
+  }
+  EXPECT_TRUE(serial_merged->timelines == parallel_merged->timelines);
 }
 
 TEST(Parallel, MergeTelemetrySkipsJobsWithoutIt) {

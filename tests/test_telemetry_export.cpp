@@ -6,6 +6,7 @@
 #include <cctype>
 #include <filesystem>
 #include <functional>
+#include <iomanip>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -277,16 +278,6 @@ TEST(TelemetryExport, ChromeTraceCarriesFaultInstants) {
   EXPECT_GE(instants, snap.fault_events.size());
 }
 
-TEST(TelemetryExport, ChromeTraceEscapesStrings) {
-  Registry reg;
-  reg.sample_series("weird\"name\\with\nescapes").add(0, 1.0);
-  Snapshot snap = reg.snapshot();
-  snap.nodes = 1;
-  std::ostringstream out;
-  write_chrome_trace(out, snap);
-  EXPECT_NO_THROW(JsonParser(out.str()).parse());
-}
-
 // --- CSV + summary -----------------------------------------------------------
 
 TEST(TelemetryExport, MetricsCsvHasOneRowPerScalarMetric) {
@@ -316,10 +307,112 @@ TEST(TelemetryExport, TimeseriesCsvCoversEverySeriesPoint) {
   std::size_t points = 0;
   for (const auto& m : snap.metrics) {
     if (m.kind == MetricKind::kBucketSeries) points += m.series_buckets.size();
-    if (m.kind == MetricKind::kSampleSeries) points += m.samples.size();
   }
-  EXPECT_GT(points, 0u);
+  // Six per-node columns plus via.in_flight at every tick.
+  ASSERT_EQ(snap.timelines.size(), 1u);
+  const Timeline& tl = snap.timelines.front();
+  EXPECT_GT(tl.ticks(), 0u);
+  points += tl.ticks() * (6 * static_cast<std::size_t>(tl.nodes()) + 1);
   EXPECT_EQ(count_lines(text), points + 1);
+}
+
+// A merged snapshot keeps each run's table, and the exports write every
+// sample of both exactly once, each series in job order: a 2-node run's
+// ticks before a 4-node run's.
+TEST(TelemetryExport, MergedTimelinesExportEverySampleOnceInJobOrder) {
+  const auto run = [](int nodes, SimTime first_tick, std::size_t ticks) {
+    Snapshot snap;
+    snap.nodes = nodes;
+    Timeline& tl = snap.timelines.emplace_back(nodes);
+    for (std::size_t k = 0; k < ticks; ++k) {
+      const SimTime t = first_tick + static_cast<SimTime>(k) * 1000;
+      const auto row = tl.append(t, 100 + k);
+      for (int n = 0; n < nodes; ++n) {
+        Timeline::Node& e = row[static_cast<std::size_t>(n)];
+        const auto base = static_cast<std::uint32_t>(10 * n + static_cast<int>(k));
+        e.open_connections = base + 1;
+        e.cpu_queue = base + 2;
+        e.disk_queue = base + 3;
+        e.nic_tx_queue = base + 4;
+        e.cache_used = base + 5;
+        e.cpu_utilization = 0.125 * (n + 1);
+      }
+    }
+    return snap;
+  };
+  Snapshot merged = run(2, 1000, 2);
+  merged.merge(run(4, 5000, 3));
+  ASSERT_EQ(merged.timelines.size(), 2u);
+  const std::size_t samples = 2 * (6 * 2 + 1) + 3 * (6 * 4 + 1);
+
+  // Every expected row, keyed by series and time.
+  std::map<std::string, int> expected;
+  std::map<std::string, SimTime> last_time;  ///< per series, to check the order
+  for (const Timeline& tl : merged.timelines) {
+    for (std::size_t k = 0; k < tl.ticks(); ++k) {
+      std::ostringstream via;
+      via << std::setprecision(15) << "via.in_flight,," << simtime_to_seconds(tl.time(k)) << ','
+          << static_cast<double>(tl.via_in_flight(k));
+      ++expected[via.str()];
+      for (int n = 0; n < tl.nodes(); ++n) {
+        const Timeline::Node& e = tl.node(k, n);
+        const std::pair<const char*, double> columns[] = {
+            {"node.open_connections", e.open_connections},
+            {"node.cpu_queue", e.cpu_queue},
+            {"node.disk_queue", e.disk_queue},
+            {"node.nic_tx_queue", e.nic_tx_queue},
+            {"node.cache_used_bytes", static_cast<double>(e.cache_used)},
+            {"node.cpu_utilization", e.cpu_utilization}};
+        for (const auto& [name, value] : columns) {
+          std::ostringstream row;
+          row << std::setprecision(15) << name << ",node=" << n << ','
+              << simtime_to_seconds(tl.time(k)) << ',' << value;
+          ++expected[row.str()];
+        }
+      }
+    }
+  }
+  ASSERT_EQ(expected.size(), samples);
+
+  std::ostringstream csv;
+  write_timeseries_csv(csv, merged);
+  std::istringstream lines(csv.str());
+  std::string line;
+  std::getline(lines, line);  // header
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    ++rows;
+    ASSERT_EQ(expected.count(line), 1u) << line;
+    EXPECT_EQ(--expected[line], 0) << "twice: " << line;
+    const std::size_t time_at = line.find(',', line.find(',') + 1);
+    const std::string series = line.substr(0, time_at);
+    const SimTime t = seconds_to_simtime(std::stod(line.substr(time_at + 1)));
+    if (last_time.contains(series)) {
+      EXPECT_GT(t, last_time[series]) << line;
+    }
+    last_time[series] = t;
+  }
+  EXPECT_EQ(rows, samples);
+
+  // The Chrome trace carries the same samples as counter events.
+  std::ostringstream trace;
+  write_chrome_trace(trace, merged);
+  const JsonValue root = JsonParser(trace.str()).parse();
+  std::size_t counters = 0;
+  std::map<std::string, double> last_ts;
+  for (const JsonValue& ev : root.object().at("traceEvents").array()) {
+    const auto& obj = ev.object();
+    if (obj.at("ph").str() != "C") continue;
+    ++counters;
+    const std::string series =
+        obj.at("name").str() + "@" + std::to_string(static_cast<int>(obj.at("pid").num()));
+    const double ts = obj.at("ts").num();
+    if (last_ts.contains(series)) {
+      EXPECT_GT(ts, last_ts[series]) << series;
+    }
+    last_ts[series] = ts;
+  }
+  EXPECT_EQ(counters, samples);
 }
 
 TEST(TelemetryExport, SpansCsvHasOneRowPerSpan) {

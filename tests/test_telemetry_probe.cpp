@@ -1,4 +1,4 @@
-// TimelineProbe and the engine bridge: probe series riding the load
+// TimelineProbe and the engine bridge: the probe's table riding the load
 // sampler, registry counters agreeing with SimResult, and the null-object
 // guarantee when telemetry is disabled.
 #include <gtest/gtest.h>
@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "l2sim/common/error.hpp"
 #include "l2sim/core/experiment.hpp"
 #include "l2sim/core/simulation.hpp"
 #include "l2sim/policy/l2s.hpp"
 #include "l2sim/telemetry/probe.hpp"
 #include "l2sim/telemetry/registry.hpp"
+#include "l2sim/telemetry/sim_telemetry.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
 namespace l2s::telemetry {
@@ -22,35 +24,45 @@ namespace {
 TEST(TimelineProbe, RecordsPerNodeSeriesAndDifferentiatesUtilization) {
   Registry reg;
   TimelineProbe probe(reg, 2);
+  std::vector<TimelineProbe::Reading> nodes(2);
+  nodes[0].open_connections = 3;
+  nodes[0].cpu_queue = 5;
+  nodes[0].cpu_busy = seconds_to_simtime(0.5);  // 50% busy over 1 s
+  nodes[1].cache_used = 1024;
+
+  probe.record(seconds_to_simtime(0.5), 7, nodes);  // before begin(): warm-up
+  EXPECT_EQ(probe.timeline().ticks(), 0u);
+
   probe.begin(0);
+  probe.record(seconds_to_simtime(1.0), 2, nodes);
+  nodes[0].cpu_busy = seconds_to_simtime(1.5);  // fully busy window
+  nodes[0].cpu_queue = 1;
+  probe.record(seconds_to_simtime(2.0), 2, nodes);
 
-  ClusterSample first;
-  first.now = seconds_to_simtime(1.0);
-  first.nodes.resize(2);
-  first.nodes[0].open_connections = 3;
-  first.nodes[0].cpu_queue = 5;
-  first.nodes[0].cpu_busy = seconds_to_simtime(0.5);  // 50% busy over 1 s
-  first.nodes[1].cache_used = 1024;
-  first.via_in_flight = 2;
-  probe.record(first);
-
-  ClusterSample second = first;
-  second.now = seconds_to_simtime(2.0);
-  second.nodes[0].cpu_busy = seconds_to_simtime(1.5);  // fully busy window
-  second.nodes[0].cpu_queue = 1;
-  probe.record(second);
-
-  const auto& util = reg.sample_series("node.cpu_utilization", {{"node", "0"}}).points();
-  ASSERT_EQ(util.size(), 2u);
-  EXPECT_NEAR(util[0].second, 0.5, 1e-12);
-  EXPECT_NEAR(util[1].second, 1.0, 1e-12);  // differentiated, not cumulative
-
-  EXPECT_EQ(reg.sample_series("node.cpu_queue", {{"node", "0"}}).points().size(), 2u);
+  const Timeline& tl = probe.timeline();
+  ASSERT_EQ(tl.nodes(), 2);
+  ASSERT_EQ(tl.ticks(), 2u);
+  EXPECT_EQ(tl.time(1), seconds_to_simtime(2.0));
+  EXPECT_NEAR(tl.node(0, 0).cpu_utilization, 0.5, 1e-12);
+  EXPECT_NEAR(tl.node(1, 0).cpu_utilization, 1.0, 1e-12);  // differentiated, not cumulative
+  EXPECT_EQ(tl.node(0, 0).open_connections, 3u);
+  EXPECT_EQ(tl.node(0, 0).cpu_queue, 5u);
+  EXPECT_EQ(tl.node(1, 0).cpu_queue, 1u);
   EXPECT_DOUBLE_EQ(reg.gauge("node.peak_cpu_queue", {{"node", "0"}}).max(), 5.0);
-  EXPECT_DOUBLE_EQ(
-      reg.sample_series("node.cache_used_bytes", {{"node", "1"}}).points()[0].second,
-      1024.0);
-  EXPECT_DOUBLE_EQ(reg.sample_series("via.in_flight").points()[0].second, 2.0);
+  EXPECT_EQ(tl.node(0, 1).cache_used, 1024u);
+  EXPECT_EQ(tl.via_in_flight(0), 2u);
+}
+
+TEST(TimelineProbe, CountsMustFitThirtyTwoBits) {
+  Registry reg;
+  TimelineProbe probe(reg, 1);
+  probe.begin(0);
+  std::vector<TimelineProbe::Reading> nodes(1);
+  nodes[0].disk_queue = std::size_t{1} << 32;
+  EXPECT_THROW(probe.record(1, 0, nodes), Error);
+  nodes[0].disk_queue = 0;
+  nodes[0].open_connections = -1;
+  EXPECT_THROW(probe.record(1, 0, nodes), Error);
 }
 
 // --- end-to-end -----------------------------------------------------------
@@ -149,25 +161,58 @@ TEST(TelemetryProbe, ProbeSeriesRideTheLoadSampler) {
   const auto r = sim.run();
   ASSERT_NE(r.telemetry, nullptr);
 
-  const auto* cpu_q = r.telemetry->find("node.cpu_queue", {{"node", "0"}});
-  ASSERT_NE(cpu_q, nullptr);
-  EXPECT_GT(cpu_q->samples.size(), 0u);
-  // One sample per node per tick: every node's series has the same length.
-  for (int n = 1; n < 4; ++n) {
-    const auto* other =
-        r.telemetry->find("node.cpu_queue", {{"node", std::to_string(n)}});
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(other->samples.size(), cpu_q->samples.size());
-  }
+  // One table, one entry per node per tick.
+  ASSERT_EQ(r.telemetry->timelines.size(), 1u);
+  const Timeline& tl = r.telemetry->timelines.front();
+  EXPECT_EQ(tl.nodes(), 4);
+  EXPECT_GT(tl.ticks(), 0u);
   // Utilization samples are fractions of the sampling window. The resource
   // counts the elapsed part of the job in service, so a service spanning a
   // window boundary splits across the windows it spans and no window reads
   // more than 1.
-  const auto* util = r.telemetry->find("node.cpu_utilization", {{"node", "0"}});
-  ASSERT_NE(util, nullptr);
-  for (const auto& [t, v] : util->samples) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
+  for (std::size_t k = 0; k < tl.ticks(); ++k) {
+    EXPECT_GE(tl.node(k, 0).cpu_utilization, 0.0);
+    EXPECT_LE(tl.node(k, 0).cpu_utilization, 1.0);
+  }
+}
+
+// The table holds one row per tick of the measured pass and none of the
+// warm-up's: the ticks are consecutive sampler intervals from the start of
+// the measured pass. It grows by doubling, so it holds at most twice its
+// 16 + 32·N bytes per tick, and snapshot() moves it out of the probe.
+TEST(TelemetryProbe, TimelineHoldsOneRowPerMeasuredTick) {
+  const auto tr = workload();
+  for (const int nodes : {4, 32}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    core::SimConfig cfg;
+    cfg.nodes = nodes;
+    cfg.node.cache_bytes = 4 * kMiB;
+    cfg.telemetry.enabled = true;
+    ASSERT_TRUE(cfg.warmup);
+    core::ClusterSimulation sim(cfg, tr, std::make_unique<policy::L2sPolicy>());
+    const auto r = sim.run();
+    ASSERT_NE(r.telemetry, nullptr);
+    ASSERT_EQ(r.telemetry->timelines.size(), 1u);
+    const Timeline& tl = r.telemetry->timelines.front();
+    ASSERT_GT(tl.ticks(), 1u);
+
+    const SimTime interval = cfg.load_sample_interval;
+    const SimTime end = sim.scheduler().now();
+    const SimTime measure_start = end - seconds_to_simtime(r.elapsed_seconds);
+    EXPECT_EQ(tl.time(0), measure_start + interval);
+    for (std::size_t k = 1; k < tl.ticks(); ++k) {
+      EXPECT_EQ(tl.time(k) - tl.time(k - 1), interval) << "tick " << k;
+    }
+    EXPECT_LE(tl.time(tl.ticks() - 1) + interval, end);
+
+    const std::size_t per_tick = 16 + 32 * static_cast<std::size_t>(nodes);
+    EXPECT_GE(tl.bytes(), tl.ticks() * per_tick);
+    EXPECT_LE(tl.bytes(), 2 * tl.ticks() * per_tick);
+
+    ASSERT_NE(sim.telemetry(), nullptr);
+    ASSERT_NE(sim.telemetry()->probe(), nullptr);
+    EXPECT_EQ(sim.telemetry()->probe()->timeline().ticks(), 0u);
+    EXPECT_EQ(sim.telemetry()->probe()->timeline().bytes(), 0u);
   }
 }
 
@@ -181,7 +226,8 @@ TEST(TelemetryProbe, ProbeOffKeepsMetricsWithoutSeries) {
   core::ClusterSimulation sim(cfg, tr, std::make_unique<policy::L2sPolicy>());
   const auto r = sim.run();
   ASSERT_NE(r.telemetry, nullptr);
-  EXPECT_EQ(r.telemetry->find("node.cpu_queue", {{"node", "0"}}), nullptr);
+  EXPECT_TRUE(r.telemetry->timelines.empty());
+  EXPECT_EQ(r.telemetry->find("node.peak_cpu_queue", {{"node", "0"}}), nullptr);
   EXPECT_EQ(r.telemetry->find("requests.completed")->count, r.completed);
 }
 

@@ -96,15 +96,24 @@ TEST(TelemetryMetrics, BucketSeriesUsesExactIntegerBuckets) {
   EXPECT_TRUE(s.rate_per_second(start).empty());
 }
 
-TEST(TelemetryMetrics, SampleSeriesAppends) {
-  SampleSeries s;
-  s.add(10, 1.0);
-  s.add(20, 2.0);
-  SampleSeries t;
-  t.add(15, 9.0);
-  s.merge(t);
-  ASSERT_EQ(s.points().size(), 3u);
-  EXPECT_EQ(s.points()[2].first, 15);
+TEST(TelemetryMetrics, TimelineAppendsOneEntryPerNodePerTick) {
+  Timeline tl(3);
+  EXPECT_EQ(tl.ticks(), 0u);
+  EXPECT_EQ(tl.bytes(), 0u);
+  for (SimTime t = 10; t <= 30; t += 10) {
+    const auto row = tl.append(t, static_cast<std::uint64_t>(t) / 10);
+    ASSERT_EQ(row.size(), 3u);
+    for (std::size_t n = 0; n < row.size(); ++n) {
+      EXPECT_EQ(row[n], Timeline::Node{});  // zeroed
+      row[n].cpu_queue = static_cast<std::uint32_t>(t + static_cast<SimTime>(n));
+    }
+  }
+  ASSERT_EQ(tl.ticks(), 3u);
+  EXPECT_EQ(tl.time(2), 30);
+  EXPECT_EQ(tl.via_in_flight(1), 2u);
+  EXPECT_EQ(tl.node(1, 2).cpu_queue, 22u);
+  EXPECT_GE(tl.bytes(), 3 * (16 + 32 * 3u));
+  EXPECT_THROW(Timeline(-1), std::invalid_argument);
 }
 
 TEST(TelemetryRegistry, LabelsAreCanonicalized) {
@@ -140,16 +149,17 @@ TEST(TelemetryRegistry, SnapshotPreservesRegistrationOrder) {
   reg.counter("one").add(1);
   reg.gauge("two").set(2.0);
   reg.histogram("three").add(3.0);
-  reg.bucket_series("four");
-  reg.sample_series("five").add(1, 5.0);
+  reg.bucket_series("four").begin(0, 10);
+  reg.bucket_series("four").bump(25);
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.metrics.size(), 5u);
+  ASSERT_EQ(snap.metrics.size(), 4u);
   EXPECT_EQ(snap.metrics[0].name, "one");
-  EXPECT_EQ(snap.metrics[4].name, "five");
+  EXPECT_EQ(snap.metrics[3].name, "four");
   EXPECT_EQ(snap.metrics[0].count, 1u);
   EXPECT_DOUBLE_EQ(snap.metrics[1].value, 2.0);
   EXPECT_EQ(snap.metrics[2].count, 1u);
-  EXPECT_EQ(snap.metrics[4].samples.size(), 1u);
+  EXPECT_EQ(snap.metrics[3].series_buckets.size(), 3u);
+  EXPECT_TRUE(snap.timelines.empty());  // the probe's table is not the registry's
 
   ASSERT_NE(snap.find("two"), nullptr);
   EXPECT_EQ(snap.find("two")->kind, MetricKind::kGauge);
@@ -173,7 +183,6 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   a.histogram("h").add(0.5);
   a.bucket_series("b").begin(0, 100);
   a.bucket_series("b").bump(50);
-  a.sample_series("s").add(1, 1.0);
 
   Registry b;
   b.counter("c").add(3);
@@ -182,10 +191,18 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   b.histogram("h").add(8.0);
   b.bucket_series("b").begin(0, 100);
   b.bucket_series("b").bump(250);  // bucket 2: longer than a's series
-  b.sample_series("s").add(2, 2.0);
 
-  Snapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
+  Snapshot sa = a.snapshot();
+  sa.nodes = 2;
+  sa.timelines.emplace_back(2);
+  (void)sa.timelines.back().append(1, 1);
+  Snapshot sb = b.snapshot();
+  sb.nodes = 3;
+  sb.timelines.emplace_back(3);
+  (void)sb.timelines.back().append(2, 2);
+
+  Snapshot merged = sa;
+  merged.merge(sb);
 
   EXPECT_EQ(merged.find("c")->count, 5u);
   ASSERT_NE(merged.find("extra"), nullptr);  // unknown metrics are adopted
@@ -199,7 +216,11 @@ TEST(TelemetrySnapshot, MergeCombinesEveryKind) {
   ASSERT_EQ(merged.find("b")->series_buckets.size(), 3u);
   EXPECT_DOUBLE_EQ(merged.find("b")->series_buckets[0], 1.0);
   EXPECT_DOUBLE_EQ(merged.find("b")->series_buckets[2], 1.0);
-  EXPECT_EQ(merged.find("s")->samples.size(), 2u);
+  // Timelines append as a list: runs of different sizes keep their tables.
+  EXPECT_EQ(merged.nodes, 3);
+  ASSERT_EQ(merged.timelines.size(), 2u);
+  EXPECT_EQ(merged.timelines[0], sa.timelines[0]);
+  EXPECT_EQ(merged.timelines[1], sb.timelines[0]);
 }
 
 TEST(TelemetrySnapshot, MergeKindMismatchThrows) {
@@ -212,8 +233,8 @@ TEST(TelemetrySnapshot, MergeKindMismatchThrows) {
 }
 
 TEST(TelemetrySnapshot, MergeIsOrderDependentOnlyForAppends) {
-  // Scalar aggregates are order-independent; span/sample appends are why
-  // run_parallel merges in job-index order. Verify the scalar half.
+  // Scalar aggregates are order-independent; span and timeline appends are
+  // why run_parallel merges in job-index order. Verify the scalar half.
   Registry a;
   a.counter("c").add(2);
   Registry b;
